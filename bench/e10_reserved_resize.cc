@@ -69,7 +69,7 @@ void RunOne(double reserve, uint32_t clients) {
   std::printf("%8.2f %8u %8llu %8llu %14llu %11.1f\n", reserve, clients,
               (unsigned long long)commits, (unsigned long long)stalls,
               (unsigned long long)system->metrics().Get(
-                  "client.resizes_in_place"),
+                  Counter::kClientResizesInPlace),
               sim_s > 0 ? commits / sim_s : 0.0);
 }
 

@@ -59,8 +59,9 @@ void RunOne(uint32_t dirty_pages, uint32_t flushed_pages) {
   (void)system->CrashClient(0);
   uint64_t msgs0 = system->channel().total_messages();
   uint64_t time0 = system->clock().now_us();
-  uint64_t fetches0 = system->metrics().Get("client.recovery_page_fetches");
-  uint64_t redo0 = system->metrics().Get("client.redos");
+  const Metrics& m = system->metrics();
+  uint64_t fetches0 = m.Get(Counter::kClientRecoveryPageFetches);
+  uint64_t redo0 = m.Get(Counter::kClientRedos);
   Status st = system->RecoverClient(0);
   if (!st.ok()) {
     std::fprintf(stderr, "recovery failed: %s\n", st.ToString().c_str());
@@ -68,9 +69,9 @@ void RunOne(uint32_t dirty_pages, uint32_t flushed_pages) {
   }
   std::printf(
       "%6u %8u %14llu %7llu %10llu %12llu\n", dirty_pages, flushed_pages,
-      (unsigned long long)(system->metrics().Get("client.recovery_page_fetches") -
+      (unsigned long long)(m.Get(Counter::kClientRecoveryPageFetches) -
                            fetches0),
-      (unsigned long long)(system->metrics().Get("client.redos") - redo0),
+      (unsigned long long)(m.Get(Counter::kClientRedos) - redo0),
       (unsigned long long)(system->channel().total_messages() - msgs0),
       (unsigned long long)(system->clock().now_us() - time0));
 }

@@ -40,8 +40,9 @@ void RunOne(uint32_t clients, uint32_t shared_pages) {
   (void)system->CrashServer();
   uint64_t msgs0 = system->channel().total_messages();
   uint64_t time0 = system->clock().now_us();
-  uint64_t sessions0 = system->metrics().Get("server.coordinated_page_recoveries");
-  uint64_t ordered0 = system->metrics().Get("server.ordered_fetches");
+  const Metrics& m = system->metrics();
+  uint64_t sessions0 = m.Get(Counter::kServerCoordinatedPageRecoveries);
+  uint64_t ordered0 = m.Get(Counter::kServerOrderedFetches);
   Status st = system->RecoverServer();
   if (!st.ok()) {
     std::fprintf(stderr, "recovery failed: %s\n", st.ToString().c_str());
@@ -49,11 +50,9 @@ void RunOne(uint32_t clients, uint32_t shared_pages) {
   }
   std::printf(
       "%8u %7u %10llu %10llu %11llu %12llu\n", clients, shared_pages,
-      (unsigned long long)(system->metrics().Get(
-                               "server.coordinated_page_recoveries") -
+      (unsigned long long)(m.Get(Counter::kServerCoordinatedPageRecoveries) -
                            sessions0),
-      (unsigned long long)(system->metrics().Get("server.ordered_fetches") -
-                           ordered0),
+      (unsigned long long)(m.Get(Counter::kServerOrderedFetches) - ordered0),
       (unsigned long long)(system->channel().total_messages() - msgs0),
       (unsigned long long)(system->clock().now_us() - time0));
 }

@@ -36,11 +36,12 @@ void RunOne(uint64_t capacity) {
     }
   }
   double sim_s = (system->clock().now_us() - time0) / 1e6;
+  const Metrics& m = system->metrics();
   std::printf("%10llu %8d %10llu %12llu %13llu %11.1f\n",
               (unsigned long long)capacity, commits,
-              (unsigned long long)system->metrics().Get("client.log_full_events"),
-              (unsigned long long)system->metrics().Get("client.log_space_forces"),
-              (unsigned long long)system->metrics().Get("server.disk_writes"),
+              (unsigned long long)m.Get(Counter::kClientLogFullEvents),
+              (unsigned long long)m.Get(Counter::kClientLogSpaceForces),
+              (unsigned long long)m.Get(Counter::kServerDiskWrites),
               sim_s > 0 ? commits / sim_s : 0);
 }
 

@@ -107,7 +107,8 @@ int main() {
   // where the divergent page copies were merged (Section 3.1).
   std::printf("callbacks during review: %llu, page copies merged: %llu\n",
               (unsigned long long)system->metrics().Get(
-                  "server.callbacks_object"),
-              (unsigned long long)system->metrics().Get("server.pages_merged"));
+                  Counter::kServerCallbacksObject),
+              (unsigned long long)system->metrics().Get(
+                  Counter::kServerPagesMerged));
   return 0;
 }

@@ -316,6 +316,9 @@ class FINELOG_SHARED_STATE_CLASS Client : public ClientEndpoint {
     std::map<PageId, std::map<ClientId, Psn>> own_handoffs;
   };
   Result<AnalysisResult> RunAnalysis() FINELOG_REQUIRES(mu_);
+  // Restart phases after analysis: lock re-installation, redo, undo, the
+  // complex-crash ship, checkpoint and RecComplete.
+  Status RestartFromAnalysis(AnalysisResult analysis) FINELOG_REQUIRES(mu_);
   Status RunRedo(const AnalysisResult& analysis,
                  const std::map<PageId, Psn>& dct_psn, bool dct_authoritative,
                  const std::map<ObjectId, Psn>& callback_lists)

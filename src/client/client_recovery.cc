@@ -285,7 +285,18 @@ Status Client::Restart() {
   // Phase 1: analysis.
   FINELOG_ASSIGN_OR_RETURN(AnalysisResult analysis, RunAnalysis());
   crashed_ = false;
+  Status st = RestartFromAnalysis(std::move(analysis));
+  if (!st.ok()) {
+    // A restart that cannot finish -- deferred behind another crashed
+    // client or a lazily repaired page, or failed outright -- resets to the
+    // crashed state so the caller can retry it whole. A half-done redo must
+    // never pass for an operational client.
+    FINELOG_RETURN_IF_ERROR(Crash());
+  }
+  return st;
+}
 
+Status Client::RestartFromAnalysis(AnalysisResult analysis) {
   // Phase 2: re-install exclusive locks (3.3). In a complex crash the GLM
   // was lost with the server; fall back to locks derived from our own log,
   // restricted to pages the reconstructed DCT still lists for us.
@@ -321,9 +332,8 @@ Status Client::Restart() {
       if (!list.ok()) {
         if (list.status().IsRecoveringPage()) {
           // Lazy post-restart repair of this page degraded mid-flight
-          // (DESIGN.md section 18): reset and let the caller retry once the
-          // server's sweep has made progress.
-          FINELOG_RETURN_IF_ERROR(Crash());
+          // (DESIGN.md section 18): let the caller retry once the server's
+          // sweep has made progress.
           metrics_->Add(Counter::kClientRestartDeferrals);
           return Status::WouldBlock("restart waits for lazy page repair");
         }
@@ -406,8 +416,7 @@ Status Client::Restart() {
   if (redo.IsCrashed() || redo.IsRecoveringPage()) {
     // An ordering dependency on a client that has not restarted yet, or a
     // lazy post-restart page repair that degraded mid-flight (DESIGN.md
-    // section 18): reset to the crashed state and let the caller retry.
-    FINELOG_RETURN_IF_ERROR(Crash());
+    // section 18): let the caller retry.
     metrics_->Add(Counter::kClientRestartDeferrals);
     return Status::WouldBlock("restart waits for another crashed client");
   }
@@ -420,7 +429,6 @@ Status Client::Restart() {
   if (!dct_authoritative) {
     Status ship = ShipAllDirtyPages();
     if (ship.IsRecoveringPage()) {
-      FINELOG_RETURN_IF_ERROR(Crash());
       metrics_->Add(Counter::kClientRestartDeferrals);
       return Status::WouldBlock("restart waits for lazy page repair");
     }

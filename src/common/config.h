@@ -96,17 +96,6 @@ struct NetFaultConfig {
   // Seed for the delivery RNG.
   uint64_t seed = 1;
 
-  // When false (default), recovery-plane traffic (the Rec* endpoints) is
-  // exempt from injected faults so crash recovery itself stays reliable.
-  bool fault_recovery = false;
-
-  // Recovery-plane priority (DESIGN.md section 18): when > 0, a recovery-
-  // plane call gets this many extra retry attempts and backs off a quarter
-  // as long between them, so the repair traffic that unblocks the normal
-  // plane outruns it on a faulty network. 0 (default) treats both planes
-  // identically -- byte-identical schedules.
-  uint32_t rec_plane_priority = 0;
-
   // When true, the FaultInjector is consulted at net.<side>.<endpoint>.<op>
   // points before the rate draws, so tests can arm one-shot deterministic
   // wire faults. Off by default so existing injector-driven crash sweeps
@@ -219,18 +208,18 @@ struct SystemConfig {
 
   bool liveness_enabled() const { return heartbeat_interval_us > 0; }
 
-  // Instant restart (DESIGN.md section 18): when true, server restart opens
-  // admission immediately after membership/DCT replay and recovers pages
-  // lazily -- the first endpoint touching an unrecovered page triggers its
-  // demand repair (CallBack_P collection plus log replay from only that
-  // page's responsible clients), while a background sweep rides on admitted
-  // traffic to drain the remainder. When false (default), restart runs the
-  // stop-the-world coordinated sweep of Sections 3.4-3.5 and the message/
-  // clock schedule stays byte-identical to the pre-feature build.
+  // Instant restart (DESIGN.md section 18). Server restart always turns the
+  // page repairs of Sections 3.4-3.5 into per-page task lists; this knob
+  // decides only when they drain. When true, admission opens right after
+  // membership/DCT replay and pages recover lazily -- the first endpoint
+  // touching an unrecovered page triggers its demand repair, while a
+  // background sweep rides on admitted traffic to drain the remainder. When
+  // false (default), restart drains every list through the same sweep
+  // before admission opens.
   bool instant_restart = false;
 
   // How many unrecovered pages the background sweep repairs per admitted
-  // request while instant_restart is draining a restart backlog. Demand
+  // request while a restart backlog is pending. Demand
   // repairs (pages actually touched) always run first and are not counted
   // against this budget.
   uint32_t recovery_sweep_batch = 1;

@@ -22,7 +22,7 @@ NetVerdict Delivery::Classify(const std::string& prefix, uint64_t bytes,
     return v;
   }
 
-  if (recovery_plane && !config_.fault_recovery) return v;
+  if (recovery_plane) return v;
 
   // Armed fail points first: a test that armed one-shot wire faults gets a
   // fully deterministic firing independent of the rate draws. Torn/short

@@ -48,9 +48,10 @@ class Delivery {
   // of the exchange, checked against the partition list before anything
   // else -- a partitioned peer's legs are dropped on both planes, with no
   // RNG draw, so the rate stream stays aligned with an unpartitioned run.
-  // Other `recovery_plane` legs are exempt unless the config opts recovery
-  // traffic in. Each enabled rate draws exactly once per leg, so the RNG
-  // stream is a deterministic function of the message sequence.
+  // Other `recovery_plane` legs are exempt from injected faults, so crash
+  // recovery itself stays reliable. Each enabled rate draws exactly once
+  // per leg, so the RNG stream is a deterministic function of the message
+  // sequence.
   NetVerdict Classify(const std::string& prefix, uint64_t bytes,
                       ClientId peer, bool recovery_plane);
 

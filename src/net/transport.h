@@ -77,12 +77,12 @@ class Transport {
 };
 
 // Releases a client's gate for a whole scope instead of a single parked
-// frame. Failover probes need this: a probe can escalate into a takeover
-// whose recovery sweep re-enters every client inline on the reactor, and
-// peer probers serialize on the standby's capability while it runs -- so a
-// prober blocked there must not be holding its own client gate, or the
-// sweep deadlocks on it. No-op without a transport, on the reactor itself,
-// or when the calling thread does not hold the gate.
+// frame. Every server endpoint opens with one, before it takes the node
+// capability: a client thread blocked on that capability must not hold its
+// own gate, because the frame holding the capability may re-enter the
+// client inline on the reactor (a lock callback, or a restart or takeover
+// repair sweep) and would deadlock on the gate. No-op without a transport,
+// on the reactor itself, or when the calling thread does not hold the gate.
 class GateGuard {
  public:
   GateGuard(Transport* transport, ClientId client) {

@@ -495,6 +495,7 @@ Status Server::ApplyShippedPage(ClientId client, const ShippedPage& shipped,
 
 Result<ObjectLockReply> Server::LockObject(ClientId client, ObjectId oid,
                                            LockMode mode, Psn cached_psn) {
+  GateGuard gate(rpc_->transport(), client);
   SimMutexLock lock(mu_);
   if (crashed_) return Status::Crashed("server down");
   return rpc_->Call(
@@ -514,6 +515,7 @@ Result<ObjectLockReply> Server::LockObject(ClientId client, ObjectId oid,
 
 Result<std::vector<ObjectLockOutcome>> Server::LockObjectBatch(
     ClientId client, const std::vector<ObjectLockRequest>& items) {
+  GateGuard gate(rpc_->transport(), client);
   SimMutexLock lock(mu_);
   if (crashed_) return Status::Crashed("server down");
   if (items.empty()) return std::vector<ObjectLockOutcome>{};
@@ -627,6 +629,7 @@ Result<ObjectLockReply> Server::LockObjectInternal(ClientId client,
 
 Result<PageLockReply> Server::LockPage(ClientId client, PageId pid,
                                        LockMode mode, Psn cached_psn) {
+  GateGuard gate(rpc_->transport(), client);
   SimMutexLock lock(mu_);
   if (crashed_) return Status::Crashed("server down");
   return rpc_->Call(
@@ -708,6 +711,7 @@ Result<PageLockReply> Server::LockPageBody(ClientId client, PageId pid,
 }
 
 Result<PageFetchReply> Server::FetchPage(ClientId client, PageId pid) {
+  GateGuard gate(rpc_->transport(), client);
   SimMutexLock lock(mu_);
   if (crashed_) return Status::Crashed("server down");
   return rpc_->Call(
@@ -726,6 +730,7 @@ Result<PageFetchReply> Server::FetchPage(ClientId client, PageId pid) {
 
 Result<std::vector<PageFetchReply>> Server::FetchPages(
     ClientId client, const std::vector<PageId>& pids) {
+  GateGuard gate(rpc_->transport(), client);
   SimMutexLock lock(mu_);
   if (crashed_) return Status::Crashed("server down");
   if (pids.empty()) return std::vector<PageFetchReply>{};
@@ -765,6 +770,7 @@ Result<PageFetchReply> Server::FetchPageInternal(ClientId client, PageId pid,
 }
 
 Status Server::ShipPage(ClientId client, const ShippedPage& page) {
+  GateGuard gate(rpc_->transport(), client);
   SimMutexLock lock(mu_);
   if (crashed_) return Status::Crashed("server down");
   return rpc_->Call(
@@ -782,6 +788,7 @@ Status Server::ShipPage(ClientId client, const ShippedPage& page) {
 
 Status Server::ShipPages(ClientId client,
                          const std::vector<ShippedPage>& pages) {
+  GateGuard gate(rpc_->transport(), client);
   SimMutexLock lock(mu_);
   if (crashed_) return Status::Crashed("server down");
   if (pages.empty()) return Status::OK();
@@ -805,6 +812,7 @@ Status Server::ShipPages(ClientId client,
 FINELOG_REPLAY_PATH("formats a fresh page whose PSN lineage lives in the "
                     "space map; the allocating client logs from there on")
 Result<AllocReply> Server::AllocatePage(ClientId client) {
+  GateGuard gate(rpc_->transport(), client);
   SimMutexLock lock(mu_);
   if (crashed_) return Status::Crashed("server down");
   return rpc_->Call(
@@ -839,6 +847,7 @@ Result<AllocReply> Server::AllocatePage(ClientId client) {
 }
 
 Status Server::ForcePage(ClientId client, PageId pid) {
+  GateGuard gate(rpc_->transport(), client);
   SimMutexLock lock(mu_);
   if (crashed_) return Status::Crashed("server down");
   return rpc_->Call(
@@ -876,6 +885,7 @@ Status Server::ForcePage(ClientId client, PageId pid) {
 Status Server::ReleaseLocks(ClientId client,
                             const std::vector<ObjectId>& objects,
                             const std::vector<PageId>& pages) {
+  GateGuard gate(rpc_->transport(), client);
   SimMutexLock lock(mu_);
   if (crashed_) return Status::Crashed("server down");
   return rpc_->Call(
@@ -925,6 +935,7 @@ Status Server::ReleaseLocksBody(ClientId client,
 }
 
 Status Server::CommitShipLogs(ClientId client, size_t log_bytes) {
+  GateGuard gate(rpc_->transport(), client);
   SimMutexLock lock(mu_);
   if (crashed_) return Status::Crashed("server down");
   return rpc_->Call(
@@ -946,6 +957,7 @@ Status Server::CommitShipLogs(ClientId client, size_t log_bytes) {
 
 Status Server::CommitShipPages(ClientId client,
                                const std::vector<ShippedPage>& pages) {
+  GateGuard gate(rpc_->transport(), client);
   SimMutexLock lock(mu_);
   if (crashed_) return Status::Crashed("server down");
   size_t bytes = 0;
@@ -968,6 +980,7 @@ Status Server::CommitShipPages(ClientId client,
 }
 
 Result<TokenReply> Server::AcquireToken(ClientId client, PageId pid) {
+  GateGuard gate(rpc_->transport(), client);
   SimMutexLock lock(mu_);
   if (crashed_) return Status::Crashed("server down");
   return rpc_->Call(
@@ -1110,6 +1123,7 @@ Status Server::FlushAllPages() {
 }
 
 Result<DctSnapshot> Server::RecGetMyDct(ClientId client) {
+  GateGuard gate(rpc_->transport(), client);
   SimMutexLock lock(mu_);
   if (crashed_) return Status::Crashed("server down");
   return rpc_->Call(
@@ -1127,6 +1141,7 @@ Result<DctSnapshot> Server::RecGetMyDct(ClientId client) {
 }
 
 Result<ClientRecoveryState> Server::RecGetMyXLocks(ClientId client) {
+  GateGuard gate(rpc_->transport(), client);
   SimMutexLock lock(mu_);
   if (crashed_) return Status::Crashed("server down");
   return rpc_->Call(
@@ -1152,6 +1167,7 @@ Result<ClientRecoveryState> Server::RecGetMyXLocks(ClientId client) {
 Result<ClientRecoveryState> Server::RecInstallLocks(
     ClientId client, const std::vector<ObjectId>& objects,
     const std::vector<PageId>& pages) {
+  GateGuard gate(rpc_->transport(), client);
   SimMutexLock lock(mu_);
   if (crashed_) return Status::Crashed("server down");
   return rpc_->Call(
@@ -1187,6 +1203,7 @@ Result<ClientRecoveryState> Server::RecInstallLocks(
 }
 
 Result<PageFetchReply> Server::RecFetchPage(ClientId client, PageId pid) {
+  GateGuard gate(rpc_->transport(), client);
   SimMutexLock lock(mu_);
   if (crashed_) return Status::Crashed("server down");
   return rpc_->Call(
@@ -1198,8 +1215,6 @@ Result<PageFetchReply> Server::RecFetchPage(ClientId client, PageId pid) {
       });
 }
 
-FINELOG_REPLAY_PATH("recovery plane: reconstructs a never-flushed page "
-                    "from its space-map allocation PSN (Section 2 / [18])")
 Result<PageFetchReply> Server::RecFetchPageBody(ClientId client, PageId pid,
                                                 RpcReply* rep) {
   liveness_.OpenRecoveryWindow(client);
@@ -1208,21 +1223,9 @@ Result<PageFetchReply> Server::RecFetchPageBody(ClientId client, PageId pid,
   FINELOG_RETURN_IF_ERROR(EnsurePageRecovered(pid));
   metrics_->Add(Counter::kServerRecoveryPageFetches);
   PageFetchReply reply;
-  auto frame = GetPage(pid);
-  if (frame.ok()) {
-    reply.page_image = frame.value()->page.raw();
-  } else if (frame.status().IsNotFound()) {
-    // The page never reached the server disk and no copy survives: recovery
-    // rebuilds it from a freshly formatted page seeded with the allocation
-    // PSN from the space map (Section 2 / [18]).
-    auto base = space_map_->BasePsn(pid);
-    if (!base.ok()) return base.status();
-    Page page(config_.page_size);
-    page.Format(pid, base.value());
-    reply.page_image = page.raw();
-  } else {
-    return frame.status();
-  }
+  auto image = BaseImage(pid);
+  if (!image.ok()) return image.status();
+  reply.page_image = std::move(image).value();
   auto entry = dct_.Get(pid, client);
   if (entry && entry->psn != kNullPsn) {
     reply.dct_psn = entry->psn;
@@ -1243,6 +1246,7 @@ Result<PageFetchReply> Server::RecFetchPageBody(ClientId client, PageId pid,
 }
 
 Status Server::RecComplete(ClientId client) {
+  GateGuard gate(rpc_->transport(), client);
   SimMutexLock lock(mu_);
   if (crashed_) return Status::Crashed("server down");
   // Request-only exchange: completion is announced, never acknowledged.
@@ -1298,6 +1302,7 @@ Status Server::RecComplete(ClientId client) {
 }
 
 Status Server::Heartbeat(ClientId client) {
+  GateGuard gate(rpc_->transport(), client);
   SimMutexLock lock(mu_);
   if (crashed_) return Status::Crashed("server down");
   return rpc_->Call(
@@ -1450,15 +1455,12 @@ Status Server::MastershipAdmission() {
 }
 
 Result<uint64_t> Server::FailoverProbe(ClientId client) {
-  // The probe follows the standard endpoint protocol -- mu_ taken on the
-  // calling thread, held cooperatively across the park -- because the
-  // reactor must never acquire a node capability inside a frame body (the
-  // holder's own frame could be queued behind it: priority inversion until
-  // the holder's timeout). But unlike data endpoints, a probe can escalate
-  // into a takeover whose Rec sweep re-enters every client inline on the
-  // reactor, while peer probers are blocked right here on mu_. Releasing
-  // the prober's own gate for the whole probe (not just the parked frame)
-  // keeps those blocked peers from wedging the sweep.
+  // The probe follows the standard endpoint protocol -- gate released, mu_
+  // taken on the calling thread and held cooperatively across the park --
+  // because the reactor must never acquire a node capability inside a frame
+  // body (the holder's own frame could be queued behind it: priority
+  // inversion until the holder's timeout). A probe can escalate into a
+  // takeover whose Rec sweep re-enters every client inline on the reactor.
   GateGuard gate(rpc_->transport(), client);
   SimMutexLock lock(mu_);
   if (halted_) return Status::Crashed("standby node down");

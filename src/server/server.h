@@ -406,15 +406,30 @@ class FINELOG_SHARED_STATE_CLASS Server : public FailoverNode {
   Status ReconstructDct(const std::map<ClientId, ClientRecoveryState>& states,
                         std::map<PageId, std::set<ClientId>>* to_recover)
       FINELOG_REQUIRES(mu_);
+  // The base a replay starts from: the pool copy, or -- for a page that
+  // never reached the server disk -- a formatted page at its allocation PSN.
+  // Only NotFound takes the formatted fallback; every other error
+  // (IO, checksum, a failed eviction) propagates.
+  Result<std::string> BaseImage(PageId pid) FINELOG_REQUIRES(mu_);
+  // Restart step 5 for one (page, client): CallBack_P list, base image and
+  // DCT baseline go to the client, which replays its log onto the base up
+  // to (excluding) `limit` (kNullPsn = unbounded). No reachability check:
+  // page-granularity ordered fetch deliberately replays a crashed
+  // responder's durable log.
+  Status ReplayClientLog(PageId pid, ClientId client, Psn limit)
+      FINELOG_REQUIRES(mu_);
+  // ReplayClientLog for a reachable client; an unreachable one is Crashed
+  // (deferred by the caller until it restarts).
   Status CoordinatePageRecovery(PageId pid, ClientId client)
       FINELOG_REQUIRES(mu_);
   Result<std::vector<CallbackListEntry>> CollectCallbackList(PageId pid,
                                                              ClientId client)
       FINELOG_REQUIRES(mu_);
 
-  // Instant restart internals (DESIGN.md section 18), defined in
-  // server_recovery.cc. All no-ops once page_rec_ is empty, so the default
-  // (eager) configuration keeps a byte-identical schedule.
+  // Per-page restart repair (DESIGN.md section 18), defined in
+  // server_recovery.cc. Every restart fills page_rec_; eager restart drains
+  // it before admission, instant restart on demand. All no-ops once
+  // page_rec_ is empty.
 
   // True while `pid` still owes restart repair work.
   bool PageRecoveryPending(PageId pid) const FINELOG_REQUIRES(mu_) {
@@ -438,8 +453,11 @@ class FINELOG_SHARED_STATE_CLASS Server : public FailoverNode {
   Status RepairPage(PageId pid, bool demand) FINELOG_REQUIRES(mu_);
 
   // Restart step 4 for one (page, client): callback-list collection plus the
-  // client's cached copy, merged without advancing its DCT baseline.
-  Status PullCachedPage(PageId pid, ClientId client) FINELOG_REQUIRES(mu_);
+  // client's cached copy, merged without advancing its DCT baseline. OK
+  // without a merge when the client no longer caches the page; `pulled`
+  // (optional) tells which.
+  Status PullCachedPage(PageId pid, ClientId client, bool* pulled = nullptr)
+      FINELOG_REQUIRES(mu_);
 
   // Discards the suspect merged copy and rebuilds `pid` from its durable
   // base plus replay from every responsible (DCT) client's log.
@@ -452,6 +470,11 @@ class FINELOG_SHARED_STATE_CLASS Server : public FailoverNode {
 
   // Picks the next page the sweep should repair; false when none eligible.
   bool PickSweepPage(PageId* out) FINELOG_REQUIRES(mu_);
+
+  // Repairs up to `max_pages` pending pages in sweep order; returns the
+  // first degraded or hard status. The one drain loop behind the eager
+  // restart, the background sweep and SweepRecovery.
+  Status SweepPages(uint32_t max_pages) FINELOG_REQUIRES(mu_);
 
   // Opportunistically drains up to recovery_sweep_batch pages after an
   // admitted request; stops at the first degraded repair.
@@ -524,8 +547,7 @@ class FINELOG_SHARED_STATE_CLASS Server : public FailoverNode {
   // Instant restart (DESIGN.md section 18): per-page recovery state machine.
   // A page is *clean* when absent from page_rec_; otherwise it still owes
   // part of the Sections 3.4-3.5 restart work, held as an ordered task list
-  // (cache pulls before log replays, client id order within each kind --
-  // the same order the eager sweep used).
+  // (cache pulls before log replays, client id order within each kind).
   enum class PageRecState : uint8_t {
     kNeedsRecovery,  // Tasks pending; first touch triggers demand repair.
     kRecovering,     // Repair in flight; the page's own Rec traffic passes.

@@ -17,10 +17,17 @@
 //     the other clients, send the base copy with the DCT PSN, and let the
 //     client replay its private log. Recoveries that depend on a crashed
 //     client are deferred until that client completes restart (Section 3.5).
+//
+// Steps 4-5 are independent per page, so restart turns them into per-page
+// task lists (page_rec_) run by one routine, RepairPage. Eager restart
+// drains every list before admission opens; instant restart (DESIGN.md
+// section 18) opens admission first and repairs on demand or in a
+// background sweep.
 
 #include "server/server.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "net/rpc.h"
 #include "server/page_merge.h"
@@ -32,8 +39,8 @@ namespace {
 
 constexpr size_t kSmallMsg = 32;
 
-// Recovery-plane exchanges: exempt from injected wire faults unless the
-// config opts recovery traffic in (NetFaultConfig::fault_recovery).
+// Recovery-plane exchanges: exempt from injected wire faults (a partition
+// still severs them).
 CallOptions RecOpts(RpcDir dir, const char* endpoint, ClientId peer,
                     MessageType req_type, uint64_t req_bytes) {
   CallOptions opts;
@@ -69,80 +76,38 @@ Status Server::RestartLocked() {
   std::map<PageId, std::set<ClientId>> to_recover;
   FINELOG_RETURN_IF_ERROR(ReconstructDct(states, &to_recover));
 
-  if (config_.instant_restart) {
-    // Lazy arm (DESIGN.md section 18): the GLM, membership and DCT are fully
-    // authoritative at this point -- that is the whole safety argument -- so
-    // admission opens now and steps 4-5 become the per-page task lists the
-    // endpoint guards and the background sweep drain on demand. Per page the
-    // task order matches the eager sweep: cache pulls first, then
-    // coordinated log replays, client id order within each kind.
-    page_rec_.clear();
-    rec_priority_.clear();
-    for (const auto& [cid, state] : states) {
-      std::set<PageId> cached(state.cached_pages.begin(),
-                              state.cached_pages.end());
-      for (const DptEntry& d : state.dpt) {
-        if (cached.count(d.page) == 0) continue;
-        page_rec_[d.page].tasks.push_back(PageRecTask{cid, true});
-      }
-    }
-    for (const auto& [pid, involved] : to_recover) {
-      for (ClientId cid : involved) {
-        page_rec_[pid].tasks.push_back(PageRecTask{cid, false});
-      }
-    }
-    restart_begin_us_ = t0;
-    metrics_->Add(Counter::kRecoveryPagesMarked, page_rec_.size());
-    metrics_->SetMax(Counter::kRecoveryPagesPendingHighWater,
-                     page_rec_.size());
-    metrics_->Add(Counter::kRecoveryTimeToFirstAdmitUs,
-                  channel_->clock()->now_us() - t0);
-    if (page_rec_.empty()) FinishLazyRecovery();
-    return Status::OK();
-  }
-
-  // Step 4: merge dirty pages still cached at operational clients.
+  // Steps 4-5 become per-page task lists. The GLM, membership and DCT are
+  // fully authoritative at this point -- that is the whole safety argument
+  // for opening admission before the lists drain. Per page, cache pulls come
+  // first, then coordinated log replays, client id order within each kind.
+  page_rec_.clear();
+  rec_priority_.clear();
   for (const auto& [cid, state] : states) {
     std::set<PageId> cached(state.cached_pages.begin(),
                             state.cached_pages.end());
     for (const DptEntry& d : state.dpt) {
       if (cached.count(d.page) == 0) continue;
-      auto suppress = CollectCallbackList(d.page, cid);
-      if (!suppress.ok()) return suppress.status();
-      const ClientId owner = cid;
-      const PageId page = d.page;
-      auto shipped = rpc_->Call(
-          RecOpts(RpcDir::kServerToClient, "rec_fetch_cached_page", owner,
-                  MessageType::kRecFetchCachedPage, kSmallMsg),
-          [&](RpcReply* rep) -> Result<ShippedPage> {
-            auto sp = clients_.at(owner)->HandleRecFetchCachedPage(
-                page, suppress.value());
-            if (sp.ok()) {
-              rep->Set(MessageType::kRecCachedPageReply,
-                       sp.value().wire_size());
-            }
-            return sp;
-          });
-      if (!shipped.ok()) {
-        if (shipped.status().IsNotFound()) continue;
-        return shipped.status();
-      }
-      FINELOG_RETURN_IF_ERROR(
-          ApplyShippedPage(cid, shipped.value(), /*update_dct_psn=*/false));
+      page_rec_[d.page].tasks.push_back(PageRecTask{cid, true});
     }
   }
-
-  // Step 5: coordinate recovery of every (page, client) pair.
   for (const auto& [pid, involved] : to_recover) {
     for (ClientId cid : involved) {
-      Status st = CoordinatePageRecovery(pid, cid);
-      if (st.IsCrashed() || st.IsWouldBlock()) {
-        deferred_recoveries_.emplace_back(cid, pid);
-      } else if (!st.ok()) {
-        return st;
-      }
+      page_rec_[pid].tasks.push_back(PageRecTask{cid, false});
     }
   }
+  restart_begin_us_ = t0;
+  metrics_->Add(Counter::kRecoveryPagesMarked, page_rec_.size());
+  metrics_->SetMax(Counter::kRecoveryPagesPendingHighWater, page_rec_.size());
+
+  if (!config_.instant_restart) {
+    // Eager restart: the same repairs, drained before admission opens. A
+    // page whose repair degrades stays pending behind the endpoint guards.
+    Status st = SweepPages(std::numeric_limits<uint32_t>::max());
+    if (!st.ok() && !st.IsWouldBlock()) return st;
+  }
+  metrics_->Add(Counter::kRecoveryTimeToFirstAdmitUs,
+                channel_->clock()->now_us() - t0);
+  if (page_rec_.empty()) FinishLazyRecovery();
   return Status::OK();
 }
 
@@ -323,42 +288,49 @@ Result<std::vector<CallbackListEntry>> Server::CollectCallbackList(
   return out;
 }
 
-FINELOG_REPLAY_PATH("recovery plane: base images come from disk or a "
-                    "formatted page; the client's log drives the replay")
-Status Server::CoordinatePageRecovery(PageId pid, ClientId client) {
-  if (ClientUnreachable(client)) {
-    return Status::Crashed("client still down");
-  }
+FINELOG_REPLAY_PATH("recovery plane: a never-flushed page is rebuilt from "
+                    "a formatted page seeded with its allocation PSN")
+Result<std::string> Server::BaseImage(PageId pid) {
+  auto frame = GetPage(pid);
+  if (frame.ok()) return frame.value()->page.raw();
+  if (!frame.status().IsNotFound()) return frame.status();
+  // The page never reached the server disk and no copy survives: start from
+  // a freshly formatted page seeded with the allocation PSN from the space
+  // map (Section 2 / [18]).
+  auto base = space_map_->BasePsn(pid);
+  if (!base.ok()) return base.status();
+  Page page(config_.page_size);
+  page.Format(pid, base.value());
+  return page.raw();
+}
+
+Status Server::ReplayClientLog(PageId pid, ClientId client, Psn limit) {
   auto list = CollectCallbackList(pid, client);
   if (!list.ok()) return list.status();
-
-  std::string base_image;
-  auto frame = GetPage(pid);
-  if (frame.ok()) {
-    base_image = frame.value()->page.raw();
-  } else if (frame.status().IsNotFound()) {
-    auto base = space_map_->BasePsn(pid);
-    if (!base.ok()) return base.status();
-    Page page(config_.page_size);
-    page.Format(pid, base.value());
-    base_image = page.raw();
-  } else {
-    return frame.status();
-  }
+  auto base_image = BaseImage(pid);
+  if (!base_image.ok()) return base_image.status();
   auto entry = dct_.Get(pid, client);
   Psn base_psn = (entry && entry->psn != kNullPsn) ? entry->psn : kNullPsn;
 
-  Status st = rpc_->Call(
+  return rpc_->Call(
       RecOpts(RpcDir::kServerToClient, "rec_recover_page", client,
-              MessageType::kRecRecoverPage, base_image.size() + kSmallMsg),
+              MessageType::kRecRecoverPage,
+              base_image.value().size() + kSmallMsg),
       [&](RpcReply* rep) -> Status {
         Status s = clients_.at(client)->HandleRecRecoverPage(
-            pid, list.value(), base_image, base_psn, kNullPsn);
+            pid, list.value(), base_image.value(), base_psn, limit);
         // The completion reply is sent (and counted) even when replay fails:
         // the client reports the failure back to the coordinator.
         rep->Set(MessageType::kRecRecoverPageReply, kSmallMsg);
         return s;
       });
+}
+
+Status Server::CoordinatePageRecovery(PageId pid, ClientId client) {
+  if (ClientUnreachable(client)) {
+    return Status::Crashed("client still down");
+  }
+  Status st = ReplayClientLog(pid, client, kNullPsn);
   metrics_->Add(Counter::kServerCoordinatedPageRecoveries);
   return st;
 }
@@ -394,6 +366,7 @@ Status Server::ReloadMembership() {
 
 Result<std::vector<CallbackListEntry>> Server::RecGetCallbackList(
     ClientId client, PageId pid) {
+  GateGuard gate(rpc_->transport(), client);
   SimMutexLock lock(mu_);
   if (crashed_) return Status::Crashed("server down");
   return rpc_->Call(
@@ -413,6 +386,7 @@ Result<std::vector<CallbackListEntry>> Server::RecGetCallbackList(
 
 Result<PageFetchReply> Server::RecOrderedFetch(ClientId client, PageId pid,
                                                ClientId other, Psn psn) {
+  GateGuard gate(rpc_->transport(), client);
   SimMutexLock lock(mu_);
   return rpc_->Call(
       RecOpts(RpcDir::kClientToServer, "rec_ordered_fetch", client,
@@ -422,8 +396,6 @@ Result<PageFetchReply> Server::RecOrderedFetch(ClientId client, PageId pid,
       });
 }
 
-FINELOG_REPLAY_PATH("recovery plane: ordered fetch rebuilds the base "
-                    "image the requester then replays its own log onto")
 Result<PageFetchReply> Server::RecOrderedFetchBody(ClientId client, PageId pid,
                                                    ClientId other, Psn psn,
                                                    RpcReply* rep) {
@@ -446,60 +418,13 @@ Result<PageFetchReply> Server::RecOrderedFetchBody(ClientId client, PageId pid,
       rep->Set(MessageType::kRecOrderedFetchReply, kSmallMsg);
       return Status::Crashed("ordering dependency on crashed client");
     }
-    auto oit = clients_.find(other);
-    if (oit == clients_.end()) {
-      return Status::Internal("unknown client in ordered fetch");
-    }
     // If `other` still has the page cached, its copy is complete: pull it.
-    auto suppress = CollectCallbackList(pid, other);
-    if (!suppress.ok()) return suppress.status();
-    ClientEndpoint* responder = oit->second;
-    auto shipped = rpc_->Call(
-        RecOpts(RpcDir::kServerToClient, "rec_fetch_cached_page", other,
-                MessageType::kRecFetchCachedPage, kSmallMsg),
-        [&](RpcReply* irep) -> Result<ShippedPage> {
-          auto sp = responder->HandleRecFetchCachedPage(pid, suppress.value());
-          if (sp.ok()) {
-            irep->Set(MessageType::kRecCachedPageReply,
-                      sp.value().wire_size());
-          }
-          return sp;
-        });
-    if (shipped.ok()) {
-      FINELOG_RETURN_IF_ERROR(
-          ApplyShippedPage(other, shipped.value(), /*update_dct_psn=*/false));
-    } else if (shipped.status().IsNotFound()) {
+    bool pulled = false;
+    FINELOG_RETURN_IF_ERROR(PullCachedPage(pid, other, &pulled));
+    if (!pulled) {
       // `other` is recovering the page in parallel: ask it to process all
       // records with PSN < `psn` first (Section 3.4, last paragraph).
-      auto list = CollectCallbackList(pid, other);
-      if (!list.ok()) return list.status();
-      std::string base_image;
-      auto frame = GetPage(pid);
-      if (frame.ok()) {
-        base_image = frame.value()->page.raw();
-      } else {
-        auto base = space_map_->BasePsn(pid);
-        if (!base.ok()) return base.status();
-        Page page(config_.page_size);
-        page.Format(pid, base.value());
-        base_image = page.raw();
-      }
-      auto oentry = dct_.Get(pid, other);
-      Psn base_psn = (oentry && oentry->psn != kNullPsn) ? oentry->psn : kNullPsn;
-      Status st = rpc_->Call(
-          RecOpts(RpcDir::kServerToClient, "rec_recover_page", other,
-                  MessageType::kRecRecoverPage, base_image.size() + kSmallMsg),
-          [&](RpcReply* irep) -> Status {
-            Status s = responder->HandleRecRecoverPage(
-                pid, list.value(), base_image, base_psn, psn);
-            // Completion reply is sent even when replay fails (see
-            // CoordinatePageRecovery).
-            irep->Set(MessageType::kRecRecoverPageReply, kSmallMsg);
-            return s;
-          });
-      if (!st.ok()) return st;
-    } else {
-      return shipped.status();
+      FINELOG_RETURN_IF_ERROR(ReplayClientLog(pid, other, psn));
     }
   }
 
@@ -577,8 +502,8 @@ Status Server::RepairPage(PageId pid, bool demand) {
     } else {
       st = CoordinatePageRecovery(pid, t.client);
       if (st.IsCrashed()) {
-        // Same deferral the eager sweep used: retried at the client's
-        // RecComplete; meanwhile CheckPageReachable quarantines the page.
+        // Deferred to the client's RecComplete (Section 3.5); meanwhile
+        // CheckPageReachable quarantines the page.
         deferred_recoveries_.emplace_back(t.client, pid);
         st = Status::OK();
       }
@@ -628,15 +553,15 @@ Status Server::RepairPage(PageId pid, bool demand) {
   return Status::OK();
 }
 
-Status Server::PullCachedPage(PageId pid, ClientId client) {
+Status Server::PullCachedPage(PageId pid, ClientId client, bool* pulled) {
   // Restart step 4 for one (page, client): CallBack_P suppression list, then
   // the client's cached copy, merged without advancing its DCT baseline.
-  auto suppress = CollectCallbackList(pid, client);
-  if (!suppress.ok()) return suppress.status();
   auto cit = clients_.find(client);
   if (cit == clients_.end()) {
-    return Status::Internal("unknown client in lazy cache pull");
+    return Status::Internal("unknown client in cache pull");
   }
+  auto suppress = CollectCallbackList(pid, client);
+  if (!suppress.ok()) return suppress.status();
   ClientEndpoint* endpoint = cit->second;
   auto shipped = rpc_->Call(
       RecOpts(RpcDir::kServerToClient, "rec_fetch_cached_page", client,
@@ -654,6 +579,7 @@ Status Server::PullCachedPage(PageId pid, ClientId client) {
     if (shipped.status().IsNotFound()) return Status::OK();
     return shipped.status();
   }
+  if (pulled != nullptr) *pulled = true;
   return ApplyShippedPage(client, shipped.value(), /*update_dct_psn=*/false);
 }
 
@@ -770,17 +696,21 @@ bool Server::PickSweepPage(PageId* out) {
   return false;
 }
 
+Status Server::SweepPages(uint32_t max_pages) {
+  PageId pick;
+  while (max_pages-- > 0 && PickSweepPage(&pick)) {
+    FINELOG_RETURN_IF_ERROR(AttemptPageRepair(pick, /*demand=*/false));
+  }
+  return Status::OK();
+}
+
 void Server::MaybeBackgroundSweep() {
   if (page_rec_.empty() || repair_depth_ > 0) return;
-  uint32_t budget = std::max<uint32_t>(1, config_.recovery_sweep_batch);
-  PageId pick;
-  while (budget-- > 0 && !page_rec_.empty() && PickSweepPage(&pick)) {
-    // A degraded (or deliberately interrupted) repair ends this round; the
-    // page re-queued itself at the front of rec_priority_. Hard errors are
-    // also left for the next demand touch to surface -- the sweep is
-    // opportunistic.
-    if (!AttemptPageRepair(pick, /*demand=*/false).ok()) return;
-  }
+  // A degraded (or deliberately interrupted) repair ends this round; the
+  // page re-queued itself at the front of rec_priority_. Hard errors are
+  // also left for the next demand touch to surface -- the sweep is
+  // opportunistic.
+  (void)SweepPages(std::max<uint32_t>(1, config_.recovery_sweep_batch));
 }
 
 void Server::FinishLazyRecovery() {
@@ -793,12 +723,7 @@ void Server::FinishLazyRecovery() {
 Status Server::SweepRecovery(uint32_t max_pages) {
   SimMutexLock lock(mu_);
   if (crashed_) return Status::Crashed("server down");
-  PageId pick;
-  uint32_t budget = max_pages;
-  while (budget-- > 0 && !page_rec_.empty() && PickSweepPage(&pick)) {
-    FINELOG_RETURN_IF_ERROR(AttemptPageRepair(pick, /*demand=*/false));
-  }
-  return Status::OK();
+  return SweepPages(max_pages);
 }
 
 }  // namespace finelog

@@ -65,7 +65,6 @@ FaultInjector::Outcome FaultInjector::Evaluate(const std::string& point,
       total_hits_.fetch_add(1, std::memory_order_relaxed) + 1;
   uint64_t point_hit = ++hits_[point];
   if (trace_enabled_) trace_.push_back(point);
-  if (metrics_ != nullptr) metrics_->Add("fault." + point);
 
   if (!armed_.has_value()) return Outcome{};
   const Armed& a = *armed_;

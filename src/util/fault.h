@@ -69,9 +69,9 @@ class FaultInjector {
   FaultInjector(const FaultInjector&) = delete;
   FaultInjector& operator=(const FaultInjector&) = delete;
 
-  // Mirrors every hit into `metrics` as "fault.<point>" counters (and the
-  // fired fault as "fault.injected"). May be re-pointed when a fresh System
-  // is built around the same injector.
+  // Counts the fired fault into `metrics` as "fault.injected"; per-point hit
+  // counts stay in the injector (hit_counts()). May be re-pointed when a
+  // fresh System is built around the same injector.
   void AttachMetrics(Metrics* metrics) { metrics_ = metrics; }
 
   // Arms a one-shot fault at the `nth` future hit (1 = the next hit) of

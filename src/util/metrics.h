@@ -2,12 +2,9 @@
 // the benchmark harness snapshots and diffs them to produce the experiment
 // tables.
 //
-// Hot-path counters are interned: each well-known counter is a Counter enum
-// value backed by a dense array, so an increment is an array add with no
-// string construction, hashing or map lookup. The string-keyed overloads
-// remain for dynamically named counters (fault-point mirrors) and for
-// external readers (tests, benches) that address counters by name; they
-// resolve interned names to the dense array so both views stay consistent.
+// Every counter is interned: a Counter enum value backed by a dense array,
+// so an increment is an array add with no string construction, hashing or
+// map lookup. There is no string-keyed path; names exist only in snapshots.
 
 #ifndef FINELOG_UTIL_METRICS_H_
 #define FINELOG_UTIL_METRICS_H_
@@ -16,15 +13,12 @@
 #include <atomic>
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <string>
 #include <string_view>
 
 namespace finelog {
 
-// Every well-known counter, paired with its stable snapshot name. New hot
-// counters go here; Metrics::Add(std::string) is reserved for dynamic names
-// (enforced by finelog_lint's metrics-string-key rule).
+// Every counter, paired with its stable snapshot name. New counters go here.
 #define FINELOG_COUNTERS(X)                                                  \
   X(kClientAborts, "client.aborts")                                          \
   X(kClientBatchFetchItems, "client.batch_fetch_items")                      \
@@ -188,36 +182,14 @@ class Metrics {
     return dense_[static_cast<size_t>(c)].load(std::memory_order_relaxed);
   }
 
-  // Compatibility path for dynamically named counters ("fault.<point>").
-  // Interned names resolve to the dense array so both views agree; truly
-  // dynamic names fall back to a mutex-guarded map (never on a hot path --
-  // the lint's metrics-string-key rule keeps hot sites on the enum).
-  void Add(const std::string& name, uint64_t delta = 1) {
-    if (const Counter* c = Lookup(name)) {
-      Add(*c, delta);
-      return;
-    }
-    std::lock_guard<std::mutex> lock(dynamic_mu_);
-    dynamic_[name] += delta;
+  void Reset() {
+    for (auto& slot : dense_) slot.store(0, std::memory_order_relaxed);
   }
 
-  uint64_t Get(const std::string& name) const {
-    if (const Counter* c = Lookup(name)) return Get(*c);
-    std::lock_guard<std::mutex> lock(dynamic_mu_);
-    auto it = dynamic_.find(name);
-    return it == dynamic_.end() ? 0 : it->second;
-  }
-
-  // Name-ordered view of every nonzero counter (interned and dynamic), for
-  // snapshot diffing and enumeration. Zero-valued interned counters are
-  // omitted so the view matches what a purely string-keyed registry would
-  // have recorded.
-  std::map<std::string, uint64_t> counters() const {
+  // Name-ordered view of every nonzero counter, for before/after diffing in
+  // benchmarks.
+  std::map<std::string, uint64_t> Snapshot() const {
     std::map<std::string, uint64_t> out;
-    {
-      std::lock_guard<std::mutex> lock(dynamic_mu_);
-      out.insert(dynamic_.begin(), dynamic_.end());
-    }
     for (size_t i = 0; i < kCounterCount; ++i) {
       const uint64_t v = dense_[i].load(std::memory_order_relaxed);
       if (v != 0) out.emplace(std::string(kCounterNames[i]), v);
@@ -225,33 +197,8 @@ class Metrics {
     return out;
   }
 
-  void Reset() {
-    for (auto& slot : dense_) slot.store(0, std::memory_order_relaxed);
-    std::lock_guard<std::mutex> lock(dynamic_mu_);
-    dynamic_.clear();
-  }
-
-  // Snapshot for before/after diffing in benchmarks.
-  std::map<std::string, uint64_t> Snapshot() const { return counters(); }
-
  private:
-  // Name -> interned counter; built once, used only by the string-keyed
-  // compatibility overloads.
-  static const Counter* Lookup(const std::string& name) {
-    static const std::map<std::string, Counter, std::less<>> index = [] {
-      std::map<std::string, Counter, std::less<>> m;
-      for (size_t i = 0; i < kCounterCount; ++i) {
-        m.emplace(std::string(kCounterNames[i]), static_cast<Counter>(i));
-      }
-      return m;
-    }();
-    auto it = index.find(name);
-    return it == index.end() ? nullptr : &it->second;
-  }
-
   std::array<std::atomic<uint64_t>, kCounterCount> dense_{};
-  mutable std::mutex dynamic_mu_;
-  std::map<std::string, uint64_t> dynamic_;
 };
 
 }  // namespace finelog

@@ -116,7 +116,7 @@ TEST_F(BaselineTest, UpdateTokenSerializesPhysicalUpdates) {
   ASSERT_TRUE(c1.Write(t1, ObjectId{PageId(5), 1}, Val('H')).ok());
   ASSERT_TRUE(c1.Commit(t1).ok());
   EXPECT_GT(system_->channel().stats(MessageType::kTokenRequest).count, 0u);
-  EXPECT_GT(system_->metrics().Get("server.token_transfers"), 0u);
+  EXPECT_GT(system_->metrics().Get(Counter::kServerTokenTransfers), 0u);
   EXPECT_EQ(ReadCommitted(2, ObjectId{PageId(5), 0}), Val('G'));
   EXPECT_EQ(ReadCommitted(2, ObjectId{PageId(5), 1}), Val('H'));
 }

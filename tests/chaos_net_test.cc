@@ -195,7 +195,7 @@ std::string RunMatrixCell(const FaultMix& mix, uint64_t net_seed,
   *drops = system->metrics().Get(Counter::kNetDrops);
 
   // Crash every node with the faults still live on the wire, then recover.
-  // Recovery traffic rides the exempt recovery plane (fault_recovery off).
+  // Recovery traffic rides the recovery plane, exempt from injected faults.
   std::vector<uint64_t> before = ReadDurablePsns(config);
   for (size_t i = 0; i < system->num_clients(); ++i) {
     if (Status st = system->CrashClient(i); !st.ok()) {

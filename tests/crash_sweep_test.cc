@@ -309,35 +309,6 @@ TEST(CrashSweepTest, EnumerationIsDeterministic) {
   EXPECT_EQ(a.trace(), b.trace());
 }
 
-// Every hit must also be mirrored into the system's Metrics registry, and
-// those counters must be deterministic across runs too.
-TEST(CrashSweepTest, HitMetricsAreDeterministic) {
-  auto run = [](const std::string& tag) {
-    FaultInjector injector;
-    auto system =
-        System::Create(SweepConfig(MakeTempDir(tag), &injector)).value();
-    Oracle oracle;
-    Workload workload(system.get(), &oracle, SweepOptions());
-    EXPECT_TRUE(workload.Run().ok());
-    std::map<std::string, uint64_t> fault_counters;
-    uint64_t mirrored = 0;
-    for (const auto& [name, value] : system->metrics().counters()) {
-      if (name.rfind("fault.", 0) == 0) {
-        fault_counters[name] = value;
-        mirrored += value;
-      }
-    }
-    // The Metrics mirror must agree with the injector's own counters
-    // (bootstrap hits land in metrics too, hence >=).
-    EXPECT_GE(mirrored, injector.total_hits());
-    for (const auto& [point, count] : injector.hit_counts()) {
-      EXPECT_EQ(system->metrics().Get("fault." + point), count) << point;
-    }
-    return fault_counters;
-  };
-  EXPECT_EQ(run("sweep_met_a"), run("sweep_met_b"));
-}
-
 // The tentpole: sweep a strided sample of every fail-point hit the workload
 // performs, crash at each, and require a clean recovery every time.
 TEST(CrashSweepTest, EveryCrashPointRecovers) {

@@ -45,14 +45,14 @@ TEST_F(DeescalationTest, EscalatedPageLockDeescalatesOnConflict) {
   EXPECT_FALSE(system_->server().glm().HoldsPage(ClientId(0), PageId(1), LockMode::kShared));
   EXPECT_TRUE(system_->server().glm().HoldsObject(ClientId(0), ObjectId{PageId(1), 0},
                                                   LockMode::kExclusive));
-  EXPECT_GT(system_->metrics().Get("server.deescalations"), 0u);
+  EXPECT_GT(system_->metrics().Get(Counter::kServerDeescalations), 0u);
 
   // c0's cached object locks still work locally after de-escalation.
-  uint64_t misses = system_->metrics().Get("client.lock_misses");
+  uint64_t misses = system_->metrics().Get(Counter::kClientLockMisses);
   TxnId t2 = c0.Begin().value();
   ASSERT_TRUE(c0.Write(t2, ObjectId{PageId(1), 0}, Val('c')).ok());
   ASSERT_TRUE(c0.Commit(t2).ok());
-  EXPECT_EQ(system_->metrics().Get("client.lock_misses"), misses);
+  EXPECT_EQ(system_->metrics().Get(Counter::kClientLockMisses), misses);
 }
 
 TEST_F(DeescalationTest, DeescalationDeniedDuringStructuralTxn) {

@@ -300,10 +300,9 @@ RunFingerprint RunSeededWorkload(const SystemConfig& config) {
   EXPECT_TRUE(mismatches.ok());
   EXPECT_EQ(mismatches.value(), 0u);
 
-  // The eager path must never touch the lazy machinery.
+  // Eager restart is lazy restart drained before admission: nothing is left
+  // pending once RecoverAll returns.
   EXPECT_EQ(system->RecoveryPagesPending(), 0u);
-  EXPECT_EQ(system->metrics().Get(Counter::kRecoveryPagesMarked), 0u);
-  EXPECT_EQ(system->metrics().Get(Counter::kRecoveryDemandRepairs), 0u);
 
   RunFingerprint fp;
   fp.total_messages = system->channel().total_messages();
@@ -319,14 +318,22 @@ RunFingerprint RunSeededWorkload(const SystemConfig& config) {
 TEST(InstantRestartFingerprintTest, DefaultsAreByteIdenticalWithFeatureOff) {
   RunFingerprint base = RunSeededWorkload(SmallConfig("ir_fp_base"));
 
-  // A config that has heard of every new knob -- but with instant_restart
-  // still off -- must not change one byte or one simulated microsecond.
-  // recovery_sweep_batch is dead until instant_restart arms the backlog, and
-  // rec_plane_priority is dead while network faults are off.
+  // Pinned schedule of the eager restart: a drift from one revision to the
+  // next fails here even when both configs below drift together.
+  EXPECT_EQ(base.total_messages, 474u);
+  EXPECT_EQ(base.total_items, 474u);
+  EXPECT_EQ(base.total_bytes, 174774u);
+  EXPECT_EQ(base.sim_us, 1007099u);
+  EXPECT_EQ(base.commits, 9u);
+  EXPECT_EQ(base.log_bytes.size(), 5399u);
+
+  // A config that has heard of the lazy knobs -- but with instant_restart
+  // still off -- must not change one byte or one simulated microsecond:
+  // recovery_sweep_batch budgets only the background sweep, and the eager
+  // drain runs to completion regardless.
   SystemConfig tuned = SmallConfig("ir_fp_tuned");
   tuned.instant_restart = false;
   tuned.recovery_sweep_batch = 9;
-  tuned.net_faults.rec_plane_priority = 5;
   RunFingerprint with_knobs = RunSeededWorkload(tuned);
 
   EXPECT_EQ(base, with_knobs);

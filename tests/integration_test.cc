@@ -72,7 +72,7 @@ TEST_F(IntegrationTest, CrossClientVisibilityViaCallback) {
   // Client 1 reads: the server calls back client 0 (downgrade), which ships
   // its dirty copy; client 1 must see the new value.
   EXPECT_EQ(ReadCommitted(1, ObjectId{PageId(2), 3}), v);
-  EXPECT_GT(system_->metrics().Get("server.callbacks_object"), 0u);
+  EXPECT_GT(system_->metrics().Get(Counter::kServerCallbacksObject), 0u);
 }
 
 TEST_F(IntegrationTest, WriteWriteAcrossClients) {
@@ -106,7 +106,7 @@ TEST_F(IntegrationTest, ConcurrentSamePageUpdatesNoConflict) {
   ASSERT_TRUE(system_->client(1).ShipAllDirtyPages().ok());
   EXPECT_EQ(ReadCommitted(2, ObjectId{PageId(4), 0}), v0);
   EXPECT_EQ(ReadCommitted(2, ObjectId{PageId(4), 1}), v1);
-  EXPECT_GT(system_->metrics().Get("server.pages_merged"), 0u);
+  EXPECT_GT(system_->metrics().Get(Counter::kServerPagesMerged), 0u);
 }
 
 TEST_F(IntegrationTest, ActiveLockBlocksConflictingClient) {
@@ -225,7 +225,7 @@ TEST_F(IntegrationTest, CacheEvictionShipsDirtyPages) {
     ASSERT_TRUE(c0.Write(txn, ObjectId{p, 0}, v).ok());
     ASSERT_TRUE(c0.Commit(txn).ok());
   }
-  EXPECT_GT(system_->metrics().Get("client.pages_shipped"), 0u);
+  EXPECT_GT(system_->metrics().Get(Counter::kClientPagesShipped), 0u);
   for (uint32_t i = 0; i < 12; ++i) {
     PageId p(i);
     EXPECT_EQ(ReadCommitted(1, ObjectId{p, 0}), v) << "page " << p;
@@ -243,7 +243,7 @@ TEST_F(IntegrationTest, EscalationToPageLock) {
     ASSERT_TRUE(c0.Write(txn, ObjectId{PageId(10), s}, v).ok());
   }
   ASSERT_TRUE(c0.Commit(txn).ok());
-  EXPECT_GT(system_->metrics().Get("client.escalations"), 0u);
+  EXPECT_GT(system_->metrics().Get(Counter::kClientEscalations), 0u);
   // Another client's access de-escalates the page lock.
   EXPECT_EQ(ReadCommitted(1, ObjectId{PageId(10), 0}), v);
 }
@@ -281,11 +281,11 @@ TEST_F(IntegrationTest, LockCachingAvoidsRepeatServerTrips) {
   Client& c0 = system_->client(0);
   std::string v = Val(system_->config(), 'Q');
   CommittedWrite(0, ObjectId{PageId(12), 0}, v);
-  uint64_t misses_before = system_->metrics().Get("client.lock_misses");
+  uint64_t misses_before = system_->metrics().Get(Counter::kClientLockMisses);
   // Same object again: the cached X lock must be a pure local hit.
   CommittedWrite(0, ObjectId{PageId(12), 0}, v);
   (void)c0;
-  EXPECT_EQ(system_->metrics().Get("client.lock_misses"), misses_before);
+  EXPECT_EQ(system_->metrics().Get(Counter::kClientLockMisses), misses_before);
 }
 
 }  // namespace

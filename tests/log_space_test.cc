@@ -37,9 +37,9 @@ TEST_F(LogSpaceTest, BoundedLogSustainsManyTransactions) {
     ASSERT_TRUE(c0.Write(txn, oid, Val('a' + (i % 26))).ok()) << "txn " << i;
     ASSERT_TRUE(c0.Commit(txn).ok()) << "txn " << i;
   }
-  EXPECT_GT(system_->metrics().Get("client.log_full_events"), 0u);
-  EXPECT_GT(system_->metrics().Get("client.log_space_forces"), 0u);
-  EXPECT_GT(system_->metrics().Get("server.force_page_requests"), 0u);
+  EXPECT_GT(system_->metrics().Get(Counter::kClientLogFullEvents), 0u);
+  EXPECT_GT(system_->metrics().Get(Counter::kClientLogSpaceForces), 0u);
+  EXPECT_GT(system_->metrics().Get(Counter::kServerForcePageRequests), 0u);
 }
 
 TEST_F(LogSpaceTest, FlushNotificationAdvancesRedoLsn) {

@@ -253,6 +253,46 @@ TEST_P(ExecModeTest, ContendedPagesSerializeThroughCallbacks) {
   EXPECT_EQ(verified, static_cast<int>(system->num_clients()) * 2);
 }
 
+// Two clients each read the other's object on page 0, then write their own.
+// In real-clock mode one client's write calls back the other while that
+// client's thread waits for the server: a client blocked on the node
+// capability must not hold its own gate, or the reactor deadlocks on it.
+TEST_P(ExecModeTest, CrossReadThenWriteOnOnePageCompletes) {
+  SystemConfig config = Config("rc_cross_rw");
+  config.num_clients = 2;
+  auto system = System::Create(config).value();
+
+  constexpr int kTxns = 20;
+  std::atomic<int> committed{0};
+  std::atomic<int> failures{0};
+  PerClient(system->num_clients(), [&](size_t i) {
+    Client& c = system->client(i);
+    const ObjectId mine{PageId(0), static_cast<SlotId>(i)};
+    const ObjectId theirs{PageId(0), static_cast<SlotId>(1 - i)};
+    for (int t = 0; t < kTxns; ++t) {
+      auto txn = c.Begin();
+      if (!txn.ok()) {
+        failures.fetch_add(1);
+        return;
+      }
+      auto read = c.Read(txn.value(), theirs);
+      Status st = read.ok() ? c.Write(txn.value(), mine,
+                                      std::string(64, static_cast<char>('a' + i)))
+                            : read.status();
+      if (st.ok()) st = c.Commit(txn.value());
+      if (st.ok()) {
+        committed.fetch_add(1);
+        continue;
+      }
+      // A lock conflict is refused cleanly; anything else is a failure.
+      if (!st.IsWouldBlock()) failures.fetch_add(1);
+      (void)c.Abort(txn.value());
+    }
+  });
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_GT(committed.load(), 0);
+}
+
 TEST_P(ExecModeTest, HotStandbyFailoverServesThroughPrimaryKill) {
   SystemConfig config = Config("rc_failover");
   config.hot_standby = true;

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "core/system.h"
+#include "util/fault.h"
 #include "tests/test_util.h"
 
 namespace finelog {
@@ -169,7 +170,8 @@ TEST_F(RecoveryTest, ServerCrashReplacedPageRecoveredFromClientLog) {
   ASSERT_TRUE(system_->CrashServer().ok());
   ASSERT_TRUE(system_->RecoverAll().ok());
   EXPECT_EQ(ReadCommitted(1, ObjectId{PageId(8), 0}), v);
-  EXPECT_GT(system_->metrics().Get("server.coordinated_page_recoveries"), 0u);
+  EXPECT_GT(
+      system_->metrics().Get(Counter::kServerCoordinatedPageRecoveries), 0u);
 }
 
 TEST_F(RecoveryTest, ServerCrashMultiClientSamePageRecovered) {
@@ -350,6 +352,64 @@ TEST_F(RecoveryTest, RecoverAllIdempotentWhenNothingCrashed) {
   CommittedWrite(0, ObjectId{PageId(5), 0}, v);
   ASSERT_TRUE(system_->RecoverAll().ok());
   EXPECT_EQ(ReadCommitted(1, ObjectId{PageId(5), 0}), v);
+}
+
+
+// Complex crash at page granularity where the ordered fetch must replay a
+// crashed responder's log onto a base the server pool no longer holds:
+// building that base reads the page and evicts a dirty one. A failed
+// eviction write must reach the caller, not turn into a replay onto a blank
+// page.
+TEST(RecoveryFaultTest, OrderedFetchBaseImageErrorReachesCaller) {
+  FaultInjector injector;
+  SystemConfig config = SmallConfig("rec_of_base_error");
+  config.lock_granularity = LockGranularity::kPage;
+  config.server_cache_pages = 2;
+  config.fault_injector = &injector;
+  auto system = System::Create(config).value();
+  const std::string x(config.object_size, 'x');
+  const std::string y(config.object_size, 'y');
+  const std::string a(config.object_size, 'a');
+  const std::string e(config.object_size, 'e');
+  auto write = [&](size_t client, PageId pid, const std::string& value) {
+    Client& c = system->client(client);
+    TxnId txn = c.Begin().value();
+    ASSERT_TRUE(c.Write(txn, ObjectId{pid, 0}, value).ok());
+    ASSERT_TRUE(c.Commit(txn).ok());
+  };
+  // Client 2 keeps pages 4 and 5 dirty in its cache; the restart pulls them
+  // into the (full) server pool. Page 0 goes from client 1 to client 0 by
+  // callback and is lost with the server, so client 0's restart needs
+  // client 1's durable log replayed first -- an ordered fetch.
+  write(2, PageId(4), x);
+  write(2, PageId(5), y);
+  write(1, PageId(0), a);
+  write(0, PageId(0), e);
+  ASSERT_TRUE(system->CrashServer().ok());
+  ASSERT_TRUE(system->CrashClient(0).ok());
+  ASSERT_TRUE(system->CrashClient(1).ok());
+
+  // The only server page write of the recovery is that eviction.
+  injector.ResetCounts();
+  injector.ArmPoint("server.disk.page", 1, FaultAction::kError);
+  Status st = system->RecoverAll();
+  ASSERT_TRUE(injector.triggered());
+  EXPECT_GT(system->metrics().Get(Counter::kServerOrderedFetches), 0u);
+  EXPECT_EQ(st.code(), StatusCode::kIoError) << st.ToString();
+
+  // The failed eviction left the victim in the pool: a retry recovers every
+  // committed value.
+  ASSERT_TRUE(system->RecoverAll().ok());
+  auto read = [&](PageId pid) {
+    Client& c = system->client(0);
+    TxnId txn = c.Begin().value();
+    auto value = c.Read(txn, ObjectId{pid, 0});
+    EXPECT_TRUE(c.Commit(txn).ok());
+    return value.ok() ? value.value() : value.status().ToString();
+  };
+  EXPECT_EQ(read(PageId(0)), e);
+  EXPECT_EQ(read(PageId(4)), x);
+  EXPECT_EQ(read(PageId(5)), y);
 }
 
 }  // namespace

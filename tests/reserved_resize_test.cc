@@ -48,7 +48,7 @@ TEST_F(ReservedResizeTest, InPlaceResizeNeedsNoPageLock) {
   EXPECT_TRUE(grow.ok()) << grow.ToString();
   ASSERT_TRUE(c0.Commit(t0).ok());
   ASSERT_TRUE(c1.Commit(t1).ok());
-  EXPECT_GT(system_->metrics().Get("client.resizes_in_place"), 0u);
+  EXPECT_GT(system_->metrics().Get(Counter::kClientResizesInPlace), 0u);
 
   // Both survive merging.
   ASSERT_TRUE(c0.ShipAllDirtyPages().ok());

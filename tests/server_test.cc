@@ -57,9 +57,9 @@ TEST_F(ServerTest, ReplacementRecordWrittenBeforePageForce) {
   ASSERT_TRUE(c0.ShipAllDirtyPages().ok());
 
   uint64_t records_before =
-      system_->metrics().Get("server.replacement_records");
+      system_->metrics().Get(Counter::kServerReplacementRecords);
   ASSERT_TRUE(system_->server().FlushAllPages().ok());
-  EXPECT_GT(system_->metrics().Get("server.replacement_records"),
+  EXPECT_GT(system_->metrics().Get(Counter::kServerReplacementRecords),
             records_before);
 
   // The record is durable in the server log and names the client.

@@ -108,12 +108,12 @@ TEST(SystemTest, ReleaseIdleLocksEnablesQuiescence) {
   EXPECT_EQ(c0.llm().size(), 0u);
   EXPECT_EQ(c0.cache().size(), 0u);
   // Another client can now take exclusive locks with zero callbacks.
-  uint64_t cbs = system->metrics().Get("server.callbacks_object");
+  uint64_t cbs = system->metrics().Get(Counter::kServerCallbacksObject);
   Client& c1 = system->client(1);
   TxnId t1 = c1.Begin().value();
   ASSERT_TRUE(c1.Write(t1, ObjectId{PageId(3), 0}, v).ok());
   ASSERT_TRUE(c1.Commit(t1).ok());
-  EXPECT_EQ(system->metrics().Get("server.callbacks_object"), cbs);
+  EXPECT_EQ(system->metrics().Get(Counter::kServerCallbacksObject), cbs);
   // And the released client's committed data was shipped, not lost.
   TxnId t2 = c1.Begin().value();
   EXPECT_EQ(c1.Read(t2, ObjectId{PageId(3), 0}).value(), v);

@@ -22,12 +22,6 @@ Rules
   include-hygiene  src/ headers use a guard named FINELOG_<PATH>_H_ matching
                    their path, and quoted includes are repo-root-relative
                    (no "../" traversal).
-  metrics-string-key
-                   Metrics::Add / Metrics::Get with a pure string-literal key
-                   is banned in src/ -- well-known counters must be interned
-                   as Counter enum values (dense-array hot path, no string
-                   construction). Dynamically composed names such as
-                   `"fault." + point` remain allowed.
   net-fail-point   wire fail points follow the delivery-layer grammar
                    net.<side>.<endpoint>.<fault> with side in {client,server}
                    and fault in {drop,dup,delay,reorder}. Any string literal
@@ -369,29 +363,6 @@ def check_page_memcpy(relpath, text, stripped):
     return out
 
 
-# --- metrics string keys ---------------------------------------------------
-
-METRICS_CALL_RE = re.compile(
-    r"\bmetrics[A-Za-z0-9_]*(?:\(\s*\))?\s*(?:\.|->)\s*(Add|Get)\s*\(")
-PURE_LITERAL_RE = re.compile(r'^(?:"(?:[^"\\]|\\.)*"\s*)+$')
-
-
-def check_metrics_string_key(relpath, text, stripped):
-    out = []
-    for m in METRICS_CALL_RE.finditer(stripped):
-        open_paren = stripped.index("(", m.end() - 1)
-        lineno = stripped.count("\n", 0, m.start()) + 1
-        # Read the argument from the original text (strings are blanked in
-        # `stripped`); offsets are identical.
-        arg = extract_first_arg(text, open_paren).strip()
-        if PURE_LITERAL_RE.match(arg):
-            out.append(Violation(
-                relpath, lineno, "metrics-string-key",
-                f"string-literal metrics key {arg}; intern it as a Counter "
-                "enum value (string keys are reserved for dynamic names)"))
-    return out
-
-
 # --- include hygiene -------------------------------------------------------
 
 INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"([^"]+)"')
@@ -616,7 +587,6 @@ def lint_file(root, relpath, registry, determinism_only=False):
     out += check_liveness_fail_points(relpath, text, stripped)
     out += check_new_delete(relpath, text, stripped)
     out += check_page_memcpy(relpath, text, stripped)
-    out += check_metrics_string_key(relpath, text, stripped)
     out += check_include_hygiene(relpath, text, stripped)
     return out
 
@@ -646,7 +616,6 @@ FIXTURES = {
     "bad_page_memcpy.cc": "page-memcpy",
     "bad_include_guard.h": "include-hygiene",
     "bad_liveness_fail_point.cc": "liveness-fail-point",
-    "bad_metrics_string.cc": "metrics-string-key",
     "bad_net_fail_point.cc": "net-fail-point",
 }
 
@@ -671,7 +640,6 @@ def run_self_test(root):
                + check_liveness_fail_points(pseudo, text, stripped)
                + check_new_delete(pseudo, text, stripped)
                + check_page_memcpy(pseudo, text, stripped)
-               + check_metrics_string_key(pseudo, text, stripped)
                + check_include_hygiene(pseudo, text, stripped))
         fired = {v.rule for v in got}
         if rule not in fired:
