@@ -66,28 +66,6 @@ Result<TxnId> Client::Begin() {
 // Locking
 // ---------------------------------------------------------------------------
 
-Status Client::AcquireObjectLock(TxnId txn, ObjectId oid, LockMode mode) {
-  if (config_.lock_granularity == LockGranularity::kPage) {
-    // Page-locking baseline: every object access locks the whole page.
-    return AcquirePageLock(txn, oid.page, mode);
-  }
-  switch (llm_.TryAcquireObject(txn, oid, mode)) {
-    case LocalLockManager::Acquire::kHit:
-      metrics_->Add(Counter::kClientLockHits);
-      return Status::OK();
-    case LocalLockManager::Acquire::kLocalConflict:
-      return Status::WouldBlock("local transaction holds conflicting lock");
-    case LocalLockManager::Acquire::kMiss:
-      break;
-  }
-  metrics_->Add(Counter::kClientLockMisses);
-  BufferPool::Frame* frame = cache_->Peek(oid.page);
-  Psn cached_psn = frame != nullptr ? frame->page.psn() : kNullPsn;
-  auto reply = server_->LockObject(id_, oid, mode, cached_psn);
-  if (!reply.ok()) return reply.status();
-  return InstallObjectLockReply(txn, oid, mode, reply.value());
-}
-
 Status Client::InstallObjectLockReply(TxnId txn, ObjectId oid, LockMode mode,
                                       const ObjectLockReply& reply) {
   llm_.AddObjectLock(txn, oid, mode);
@@ -316,18 +294,65 @@ BufferPool::EvictHandler Client::EvictHandler() {
     // leaves the client (Section 2).
     FINELOG_RETURN_IF_ERROR(ForceLog());
     metrics_->Add(Counter::kClientWalForcesOnReplace);
-    ShippedPage shipped = BuildShip(pid, frame);
-    metrics_->Add(Counter::kClientPagesShipped);
-    return server_->ShipPage(id_, shipped);
+    return ShipCachedPages({pid});
   };
+}
+
+Status Client::ShipCachedPages(const std::vector<PageId>& pids) {
+  // What BuildShip resets beyond the slots and the structural flag (those
+  // travel in the ShippedPage itself): restored if the ship never lands.
+  struct Prior {
+    Lsn ship_log_lsn;
+    std::optional<ShipInfo> info;
+  };
+  std::vector<ShippedPage> ships;
+  std::vector<Prior> prior;
+  ships.reserve(pids.size());
+  prior.reserve(pids.size());
+  for (PageId pid : pids) {
+    BufferPool::Frame* frame = cache_->Peek(pid);
+    auto si = ship_info_.find(pid);
+    prior.push_back(Prior{frame->ship_log_lsn,
+                          si != ship_info_.end()
+                              ? std::optional<ShipInfo>(si->second)
+                              : std::nullopt});
+    ships.push_back(BuildShip(pid, *frame));
+    metrics_->Add(Counter::kClientPagesShipped);
+  }
+  Status st = server_->ShipPages(id_, ships);
+  if (!st.ok()) {
+    // The server may not have merged these copies: every frame stays dirty
+    // and owed to the server, or a later callback would find it clean and
+    // hand the object over without the committed value.
+    for (size_t i = 0; i < pids.size(); ++i) {
+      BufferPool::Frame* frame = cache_->Peek(pids[i]);
+      if (frame == nullptr) continue;
+      frame->dirty = true;
+      frame->modified_slots.insert(ships[i].modified_slots.begin(),
+                                   ships[i].modified_slots.end());
+      frame->structurally_modified |= ships[i].structural;
+      frame->ship_log_lsn = prior[i].ship_log_lsn;
+      if (prior[i].info) {
+        ship_info_[pids[i]] = *prior[i].info;
+      } else {
+        ship_info_.erase(pids[i]);
+      }
+    }
+    return st;
+  }
+  if (pids.size() > 1) {
+    metrics_->Add(Counter::kClientBatchShipRequests);
+    metrics_->Add(Counter::kClientBatchShipItems, pids.size());
+  }
+  return Status::OK();
 }
 
 Result<BufferPool::Frame*> Client::GetCachedPage(PageId pid) {
   if (BufferPool::Frame* f = cache_->Get(pid)) return f;
-  auto reply = server_->FetchPage(id_, pid);
+  auto reply = server_->FetchPages(id_, {pid});
   if (!reply.ok()) return reply.status();
   Page page(config_.page_size);
-  page.raw() = reply.value().page_image;
+  page.raw() = reply.value()[0].page_image;
   // The DCT PSN sent along is ignored during normal processing (Section 3.2).
   metrics_->Add(Counter::kClientPageFetches);
   return cache_->Put(pid, std::move(page), EvictHandler());
@@ -453,9 +478,7 @@ Status Client::TryFreeLogSpace() {
         // The page is in use by the very operation that ran out of log
         // space: ship a copy without evicting it.
         FINELOG_RETURN_IF_ERROR(ForceLog());
-        ShippedPage shipped = BuildShip(victim, *frame);
-        metrics_->Add(Counter::kClientPagesShipped);
-        FINELOG_RETURN_IF_ERROR(server_->ShipPage(id_, shipped));
+        FINELOG_RETURN_IF_ERROR(ShipCachedPages({victim}));
       } else {
         FINELOG_RETURN_IF_ERROR(cache_->Evict(victim, EvictHandler()));
       }
@@ -508,22 +531,12 @@ Status Client::ShipAllDirtyPages() {
   metrics_->Add(Counter::kClientWalForcesOnReplace);
   const size_t limit = config_.max_batch_items;
   for (size_t i = 0; i < dirty.size(); i += limit) {
-    size_t n = std::min(limit, dirty.size() - i);
-    std::vector<ShippedPage> chunk;
-    chunk.reserve(n);
-    for (size_t j = 0; j < n; ++j) {
-      BufferPool::Frame* frame = cache_->Peek(dirty[i + j]);
-      chunk.push_back(BuildShip(dirty[i + j], *frame));
-      metrics_->Add(Counter::kClientPagesShipped);
-    }
-    FINELOG_RETURN_IF_ERROR(server_->ShipPages(id_, chunk));
-    if (n > 1) {
-      metrics_->Add(Counter::kClientBatchShipRequests);
-      metrics_->Add(Counter::kClientBatchShipItems, n);
-    }
-    // BuildShip left the frames clean, so these evictions just drop them.
-    for (size_t j = 0; j < n; ++j) {
-      FINELOG_RETURN_IF_ERROR(cache_->Evict(dirty[i + j], EvictHandler()));
+    std::vector<PageId> chunk(
+        dirty.begin() + i, dirty.begin() + std::min(i + limit, dirty.size()));
+    FINELOG_RETURN_IF_ERROR(ShipCachedPages(chunk));
+    // The ship left the frames clean, so these evictions just drop them.
+    for (PageId pid : chunk) {
+      FINELOG_RETURN_IF_ERROR(cache_->Evict(pid, EvictHandler()));
     }
   }
   return Status::OK();
@@ -708,7 +721,8 @@ Result<std::string> Client::Read(TxnId txn, ObjectId oid) {
   FINELOG_RETURN_IF_ERROR(MaybeHeartbeat());
   FINELOG_ASSIGN_OR_RETURN(Txn * t, GetActiveTxn(txn));
   (void)t;
-  FINELOG_RETURN_IF_ERROR(AcquireObjectLock(txn, oid, LockMode::kShared));
+  FINELOG_RETURN_IF_ERROR(
+      BatchAcquireObjectLocks(txn, {oid}, LockMode::kShared));
   FINELOG_ASSIGN_OR_RETURN(BufferPool::Frame * frame, GetCachedPage(oid.page));
   metrics_->Add(Counter::kClientReads);
   return frame->page.ReadObject(oid.slot);
@@ -719,7 +733,8 @@ Status Client::Write(TxnId txn, ObjectId oid, Slice data) {
   if (crashed_) return Status::Crashed("client down");
   FINELOG_RETURN_IF_ERROR(MaybeHeartbeat());
   FINELOG_ASSIGN_OR_RETURN(Txn * t, GetActiveTxn(txn));
-  FINELOG_RETURN_IF_ERROR(AcquireObjectLock(txn, oid, LockMode::kExclusive));
+  FINELOG_RETURN_IF_ERROR(
+      BatchAcquireObjectLocks(txn, {oid}, LockMode::kExclusive));
   FINELOG_RETURN_IF_ERROR(EnsureToken(oid.page));
   FINELOG_ASSIGN_OR_RETURN(BufferPool::Frame * frame, GetCachedPage(oid.page));
   ScopedPin pin(cache_.get(), oid.page);
@@ -842,7 +857,8 @@ Status Client::Resize(TxnId txn, ObjectId oid, Slice data) {
   // Footnote-3 fast path: take the object lock first; if the new size fits
   // the slot's reserved capacity, the resize is in place and mergeable --
   // no page-level lock, no structural flag, full same-page concurrency.
-  FINELOG_RETURN_IF_ERROR(AcquireObjectLock(txn, oid, LockMode::kExclusive));
+  FINELOG_RETURN_IF_ERROR(
+      BatchAcquireObjectLocks(txn, {oid}, LockMode::kExclusive));
   FINELOG_RETURN_IF_ERROR(EnsureToken(oid.page));
   {
     FINELOG_ASSIGN_OR_RETURN(BufferPool::Frame * frame,

@@ -67,8 +67,9 @@ class FINELOG_SHARED_STATE_CLASS Client : public ClientEndpoint {
   // Batched variants: lock misses are sent to the server in multi-item
   // messages (up to config.max_batch_items per message) and uncached pages
   // are prefetched the same way, then the per-object work proceeds against
-  // warm local state. With max_batch_items == 1 these degenerate to the
-  // sequential paths above.
+  // warm local state. Read and Write use the same lock request with a
+  // single item, so with max_batch_items == 1 the message sequence is the
+  // one the per-object calls produce.
   Status WriteBatch(TxnId txn,
                     const std::vector<std::pair<ObjectId, std::string>>& writes);
   Result<std::vector<std::string>> ReadBatch(TxnId txn,
@@ -211,24 +212,23 @@ class FINELOG_SHARED_STATE_CLASS Client : public ClientEndpoint {
                         config_.debug_trust_log_tail};
   }
 
-  // Lock acquisition with LLM caching; a miss goes to the server and the
-  // reply's object/page image is installed (client-side merge, Section 2).
-  Status AcquireObjectLock(TxnId txn, ObjectId oid, LockMode mode)
-      FINELOG_REQUIRES(mu_);
+  // Page lock acquisition with LLM caching; a miss goes to the server and
+  // the reply's page image is installed (client-side merge, Section 2).
   Status AcquirePageLock(TxnId txn, PageId pid, LockMode mode)
       FINELOG_REQUIRES(mu_);
 
   // Installs a server object-lock grant into local state: LLM entry,
   // pending exclusive callbacks, unflushed-slot tracking, the object or page
-  // image carried by the reply, and the escalation check. Shared by the
-  // single and batched acquisition paths.
+  // image carried by the reply, and the escalation check.
   Status InstallObjectLockReply(TxnId txn, ObjectId oid, LockMode mode,
                                 const ObjectLockReply& reply)
       FINELOG_REQUIRES(mu_);
 
-  // Acquires object locks for `oids`, coalescing LLM misses into multi-item
-  // server messages of up to config.max_batch_items. Page-granularity
-  // configurations fall back to per-item acquisition.
+  // Object lock acquisition with LLM caching, the one path for a single
+  // object and for many: LLM misses go to the server in multi-item messages
+  // of up to config.max_batch_items, and each grant's object/page image is
+  // installed (client-side merge, Section 2). Page-granularity
+  // configurations lock each object's page instead.
   Status BatchAcquireObjectLocks(TxnId txn, const std::vector<ObjectId>& oids,
                                  LockMode mode) FINELOG_REQUIRES(mu_);
 
@@ -252,6 +252,13 @@ class FINELOG_SHARED_STATE_CLASS Client : public ClientEndpoint {
   // The cache eviction handler: WAL-force the private log, then ship dirty
   // victims to the server (Section 2).
   BufferPool::EvictHandler EvictHandler();
+
+  // Ships the dirty cached frames `pids` in one ship message -- the one path
+  // for eviction, the log-space ship of a pinned page and ShipAllDirtyPages.
+  // A failed ship leaves every frame as it was (dirty, with its modified
+  // slots, structural flag and ship bookkeeping), so the copy is still owed.
+  Status ShipCachedPages(const std::vector<PageId>& pids)
+      FINELOG_REQUIRES(mu_);
 
   // Builds a ShippedPage from a frame and resets its modification tracking
   // (the frame is then "clean" = in sync with what the server has been sent).

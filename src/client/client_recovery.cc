@@ -674,7 +674,7 @@ Status Client::HandleRecRecoverPage(
                                 session.modified.end());
   shipped.structural = false;
   Psn ship_psn = session.page.psn();
-  FINELOG_RETURN_IF_ERROR(server_->ShipPage(id_, shipped));
+  FINELOG_RETURN_IF_ERROR(server_->ShipPages(id_, {shipped}));
 
   if (psn_limit == kNullPsn) {
     // The recovered state is now at the server; our RedoLSN can advance

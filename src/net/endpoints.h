@@ -1,9 +1,10 @@
 // Abstract client/server endpoints: the RPC vocabulary of the protocol.
 //
 // finelog simulates the network, so "RPCs" are direct virtual calls; each
-// implementation routes its request and reply through net::Channel for
-// message/byte accounting. Keeping the endpoints abstract decouples client
-// and server code and lets tests substitute either side.
+// implementation routes its request and reply through the Rpc chokepoint for
+// message/byte accounting. Both interfaces are pure: server::Server and the
+// hot-standby ServerRouter implement ServerEndpoint, client::Client
+// implements ClientEndpoint.
 //
 // Handlers on ClientEndpoint must not call back into the server, with one
 // deliberate exception: the parallel-recovery handshake of Section 3.4
@@ -39,12 +40,6 @@ struct ShippedPage {
   }
 };
 
-// Reply to an object lock request. Exactly one of `object_image` /
-// `page_image` is set on success when data must be refreshed:
-//  - `object_image`: the client has the page cached; it installs just this
-//    object (the client-side merge of Section 2).
-//  - `page_image`: the client does not have the page; the full page is sent.
-// `object_present=false` with neither image set means the object was deleted.
 // One exclusive-lock callback a lock request triggered: the object that
 // changed hands, the client that responded, and the PSN the page had when
 // that client's copy reached the server. The requester writes one callback
@@ -55,6 +50,12 @@ struct XCallbackInfo {
   Psn psn;
 };
 
+// Reply to an object lock request. Exactly one of `object_image` /
+// `page_image` is set on success when data must be refreshed:
+//  - `object_image`: the client has the page cached; it installs just this
+//    object (the client-side merge of Section 2).
+//  - `page_image`: the client does not have the page; the full page is sent.
+// `object_present=false` with neither image set means the object was deleted.
 struct ObjectLockReply {
   bool object_present = true;
   std::optional<std::string> object_image;
@@ -114,16 +115,16 @@ struct ClientRecoveryState {
   std::vector<std::pair<PageId, LockMode>> page_locks;
 };
 
-// One item of a batched object lock request (see LockObjectBatch).
+// One item of an object lock request (see LockObjectBatch).
 struct ObjectLockRequest {
   ObjectId oid;
   LockMode mode = LockMode::kShared;
   Psn cached_psn = kNullPsn;
 };
 
-// Per-item outcome of a batched object lock request: lock grants fail
-// individually (WouldBlock on a denied callback does not poison the other
-// items in the batch).
+// Per-item outcome of an object lock request: lock grants fail individually
+// (WouldBlock on a denied callback does not poison the other items, and is
+// not the status of the call).
 struct ObjectLockOutcome {
   Status status;  // Default-constructed = OK; `reply` is valid only then.
   ObjectLockReply reply;
@@ -135,74 +136,37 @@ class ServerEndpoint {
   virtual ~ServerEndpoint() = default;
 
   // Normal processing --------------------------------------------------
+  //
+  // One endpoint per protocol step. The three item-carrying steps -- a
+  // forwarded LLM miss, a cache-miss fetch, a copy-back ship -- take a
+  // vector of items in one request message and answer them in one reply
+  // message, so the per-message overhead is charged once per call (the
+  // *caller* chunks at config.max_batch_items). A single item is a call of
+  // one.
 
-  // Forwarded LLM miss for an object lock. `cached_psn` carries the PSN of
-  // the client's cached copy (kNullPsn if the page is not cached); the
-  // server uses it to seed the DCT entry on a first X grant (Section 3.2).
-  virtual Result<ObjectLockReply> LockObject(ClientId client, ObjectId oid,
-                                             LockMode mode, Psn cached_psn) = 0;
+  // Forwarded LLM misses for object locks. Each item's `cached_psn` carries
+  // the PSN of the client's cached copy (kNullPsn if the page is not
+  // cached); the server uses it to seed the DCT entry on a first X grant
+  // (Section 3.2). Grants are attempted in item order and fail
+  // individually; the reply vector is index-aligned with `items`.
+  virtual Result<std::vector<ObjectLockOutcome>> LockObjectBatch(
+      ClientId client, const std::vector<ObjectLockRequest>& items) = 0;
 
   // Forwarded page lock request (used for non-mergeable updates, escalation,
   // and by the page-level-locking baseline).
   virtual Result<PageLockReply> LockPage(ClientId client, PageId pid,
                                          LockMode mode, Psn cached_psn) = 0;
 
-  // Cache-miss fetch of a page the client already holds locks on.
-  virtual Result<PageFetchReply> FetchPage(ClientId client, PageId pid) = 0;
-
-  // A dirty page replaced from the client's cache (Section 2). The server
-  // merges the updates into its copy.
-  virtual Status ShipPage(ClientId client, const ShippedPage& page) = 0;
-
-  // Batch variants -------------------------------------------------------
-  //
-  // Each carries N items in one request message and answers them in one
-  // reply message, so the per-message overhead is charged once per batch
-  // instead of once per item (config: max_batch_items; the *caller* chunks).
-  // The default implementations degrade to the single-item calls -- correct
-  // for test fakes, with per-item message accounting.
-
-  // Batched LLM misses: grants are attempted in item order and fail
-  // individually; the reply vector is index-aligned with `items`.
-  virtual Result<std::vector<ObjectLockOutcome>> LockObjectBatch(
-      ClientId client, const std::vector<ObjectLockRequest>& items) {
-    std::vector<ObjectLockOutcome> out;
-    out.reserve(items.size());
-    for (const ObjectLockRequest& it : items) {
-      auto r = LockObject(client, it.oid, it.mode, it.cached_psn);
-      ObjectLockOutcome o;
-      if (r.ok()) {
-        o.reply = std::move(r.value());
-      } else {
-        o.status = r.status();
-      }
-      out.push_back(std::move(o));
-    }
-    return out;
-  }
-
-  // Batched cache-miss fetch; all-or-nothing (a fetch only fails on real
-  // I/O or topology errors, never on contention).
+  // Cache-miss fetch of pages the client already holds locks on;
+  // all-or-nothing (a fetch only fails on real I/O or topology errors,
+  // never on contention).
   virtual Result<std::vector<PageFetchReply>> FetchPages(
-      ClientId client, const std::vector<PageId>& pids) {
-    std::vector<PageFetchReply> out;
-    out.reserve(pids.size());
-    for (PageId pid : pids) {
-      auto r = FetchPage(client, pid);
-      if (!r.ok()) return r.status();
-      out.push_back(std::move(r.value()));
-    }
-    return out;
-  }
+      ClientId client, const std::vector<PageId>& pids) = 0;
 
-  // Batched copy-back: N replaced pages in one ship message, one ack.
+  // Dirty pages replaced from the client's cache (Section 2): one ship
+  // message, one ack. The server merges the updates into its copies.
   virtual Status ShipPages(ClientId client,
-                           const std::vector<ShippedPage>& pages) {
-    for (const ShippedPage& p : pages) {
-      FINELOG_RETURN_IF_ERROR(ShipPage(client, p));
-    }
-    return Status::OK();
-  }
+                           const std::vector<ShippedPage>& pages) = 0;
 
   // Allocates a new page; the caller is granted a page-level X lock on it.
   virtual Result<AllocReply> AllocatePage(ClientId client) = 0;
@@ -256,12 +220,8 @@ class ServerEndpoint {
   virtual Result<PageFetchReply> RecOrderedFetch(ClientId client, PageId pid,
                                                  ClientId other, Psn psn) = 0;
 
-  // Liveness lease renewal (DESIGN.md section 14). Defaulted so test fakes
-  // without a lease table accept heartbeats as a no-op.
-  virtual Status Heartbeat(ClientId client) {
-    (void)client;
-    return Status::OK();
-  }
+  // Liveness lease renewal (DESIGN.md section 14).
+  virtual Status Heartbeat(ClientId client) = 0;
 };
 
 // The client-side endpoint (implemented by client::Client).

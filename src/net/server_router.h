@@ -12,6 +12,11 @@
 //   - WouldBlock(kFailoverInProgress)
 //                              the node answered but is deposed.
 //
+// Only the status of the call is routed: a per-item lock outcome inside
+// LockObjectBatch is the answer of a serving node, and the server reports a
+// timed-out leg to a *third* client as kCrashedDependency, so kRpcTimeout
+// here always means the client's own leg to the node.
+//
 // The probe (FailoverNode::FailoverProbe) asks the other node to confirm or
 // assume mastership. On success the table flips and the request is retried
 // once against the new primary; a probe refused with kFailoverInProgress is
@@ -81,25 +86,11 @@ class FINELOG_SHARED_STATE_CLASS ServerRouter : public ServerEndpoint {
 
   // ServerEndpoint ----------------------------------------------------------
 
-  Result<ObjectLockReply> LockObject(ClientId client, ObjectId oid,
-                                     LockMode mode, Psn cached_psn) override {
-    return Route<Result<ObjectLockReply>>(client, [&](FailoverNode* n) {
-      return n->LockObject(client, oid, mode, cached_psn);
-    });
-  }
   Result<PageLockReply> LockPage(ClientId client, PageId pid, LockMode mode,
                                  Psn cached_psn) override {
     return Route<Result<PageLockReply>>(client, [&](FailoverNode* n) {
       return n->LockPage(client, pid, mode, cached_psn);
     });
-  }
-  Result<PageFetchReply> FetchPage(ClientId client, PageId pid) override {
-    return Route<Result<PageFetchReply>>(
-        client, [&](FailoverNode* n) { return n->FetchPage(client, pid); });
-  }
-  Status ShipPage(ClientId client, const ShippedPage& page) override {
-    return Route<Status>(
-        client, [&](FailoverNode* n) { return n->ShipPage(client, page); });
   }
   Result<std::vector<ObjectLockOutcome>> LockObjectBatch(
       ClientId client, const std::vector<ObjectLockRequest>& items) override {

@@ -31,6 +31,19 @@ CallOptions MakeOpts(RpcDir dir, const char* endpoint, ClientId peer,
   return opts;
 }
 
+// A server->client leg that timed out means the *third* client is silent,
+// not that this server is: the requester must see a blocked dependency, or
+// its failover router (which reads kRpcTimeout as "my primary is silent")
+// would probe the standby although the primary answered.
+Status CalleeLegStatus(Status st) {
+  if (st.IsWouldBlock() &&
+      st.would_block_reason() == WouldBlockReason::kRpcTimeout) {
+    return Status::WouldBlock(WouldBlockReason::kCrashedDependency,
+                              "callee timed out: " + st.message());
+  }
+  return st;
+}
+
 }  // namespace
 
 Result<std::unique_ptr<Server>> Server::Create(const SystemConfig& config,
@@ -324,7 +337,7 @@ Status Server::ExecuteCallbacks(
           reply->SetBatch(MessageType::kCallbackReply, answered, reply_bytes);
           return st;
         });
-    FINELOG_RETURN_IF_ERROR(call);
+    FINELOG_RETURN_IF_ERROR(CalleeLegStatus(call));
     i = j;
   }
   return Status::OK();
@@ -491,26 +504,6 @@ Status Server::ApplyShippedPage(ClientId client, const ShippedPage& shipped,
   if (update_dct_psn) dct_.SetPsn(shipped.page, client, incoming_psn);
   metrics_->Add(Counter::kServerPagesMerged);
   return Status::OK();
-}
-
-Result<ObjectLockReply> Server::LockObject(ClientId client, ObjectId oid,
-                                           LockMode mode, Psn cached_psn) {
-  GateGuard gate(rpc_->transport(), client);
-  SimMutexLock lock(mu_);
-  if (crashed_) return Status::Crashed("server down");
-  return rpc_->Call(
-      MakeOpts(RpcDir::kClientToServer, "lock_object", client,
-               MessageType::kLockRequest, 1, kSmallMsg),
-      [&](RpcReply* rep) -> Result<ObjectLockReply> {
-        FINELOG_RETURN_IF_ERROR(MastershipAdmission());
-        FINELOG_RETURN_IF_ERROR(LivenessAdmission(client));
-        size_t reply_bytes = kSmallMsg;
-        auto reply =
-            LockObjectInternal(client, oid, mode, cached_psn, &reply_bytes);
-        // The reply travels (and is charged) even for a denial.
-        rep->Set(MessageType::kLockReply, reply_bytes);
-        return reply;
-      });
 }
 
 Result<std::vector<ObjectLockOutcome>> Server::LockObjectBatch(
@@ -680,8 +673,8 @@ Result<PageLockReply> Server::LockPageBody(ClientId client, PageId pid,
   }
   Page& page = frame.value()->page;
   if (mode == LockMode::kExclusive) {
-    // Ghost-writer hand-off entries (see LockObject); a page grant covers
-    // every object, hence the sentinel slot.
+    // Ghost-writer hand-off entries (see LockObjectInternal); a page grant
+    // covers every object, hence the sentinel slot.
     for (const DctEntry& e : dct_.EntriesForPage(pid)) {
       if (e.client == client || e.psn == kNullPsn) continue;
       bool already = false;
@@ -710,24 +703,6 @@ Result<PageLockReply> Server::LockPageBody(ClientId client, PageId pid,
   return reply;
 }
 
-Result<PageFetchReply> Server::FetchPage(ClientId client, PageId pid) {
-  GateGuard gate(rpc_->transport(), client);
-  SimMutexLock lock(mu_);
-  if (crashed_) return Status::Crashed("server down");
-  return rpc_->Call(
-      MakeOpts(RpcDir::kClientToServer, "fetch_page", client,
-               MessageType::kPageFetch, 1, kSmallMsg),
-      [&](RpcReply* rep) -> Result<PageFetchReply> {
-        FINELOG_RETURN_IF_ERROR(MastershipAdmission());
-        FINELOG_RETURN_IF_ERROR(LivenessAdmission(client));
-        size_t reply_bytes = 0;
-        auto reply = FetchPageInternal(client, pid, &reply_bytes);
-        if (!reply.ok()) return reply.status();  // Errors send no reply.
-        rep->Set(MessageType::kPageReply, reply_bytes);
-        return reply;
-      });
-}
-
 Result<std::vector<PageFetchReply>> Server::FetchPages(
     ClientId client, const std::vector<PageId>& pids) {
   GateGuard gate(rpc_->transport(), client);
@@ -744,45 +719,19 @@ Result<std::vector<PageFetchReply>> Server::FetchPages(
         std::vector<PageFetchReply> out;
         out.reserve(pids.size());
         for (PageId pid : pids) {
-          size_t rb = 0;
-          auto r = FetchPageInternal(client, pid, &rb);
-          if (!r.ok()) return r.status();  // Errors send no reply.
-          reply_bytes += rb;
-          out.push_back(std::move(r.value()));
+          // Errors send no reply.
+          FINELOG_RETURN_IF_ERROR(EnsurePageRecovered(pid));
+          FINELOG_ASSIGN_OR_RETURN(BufferPool::Frame * frame, GetPage(pid));
+          PageFetchReply reply;
+          reply.page_image = frame->page.raw();
+          auto entry = dct_.Get(pid, client);
+          reply.dct_psn = entry ? entry->psn : kNullPsn;
+          reply_bytes += reply.page_image.size() + kSmallMsg;
+          metrics_->Add(Counter::kServerPageFetches);
+          out.push_back(std::move(reply));
         }
         rep->SetBatch(MessageType::kPageReply, pids.size(), reply_bytes);
         return out;
-      });
-}
-
-Result<PageFetchReply> Server::FetchPageInternal(ClientId client, PageId pid,
-                                                 size_t* reply_bytes) {
-  FINELOG_RETURN_IF_ERROR(EnsurePageRecovered(pid));
-  auto frame = GetPage(pid);
-  if (!frame.ok()) return frame.status();
-  PageFetchReply reply;
-  reply.page_image = frame.value()->page.raw();
-  auto entry = dct_.Get(pid, client);
-  reply.dct_psn = entry ? entry->psn : kNullPsn;
-  *reply_bytes = reply.page_image.size() + kSmallMsg;
-  metrics_->Add(Counter::kServerPageFetches);
-  return reply;
-}
-
-Status Server::ShipPage(ClientId client, const ShippedPage& page) {
-  GateGuard gate(rpc_->transport(), client);
-  SimMutexLock lock(mu_);
-  if (crashed_) return Status::Crashed("server down");
-  return rpc_->Call(
-      MakeOpts(RpcDir::kClientToServer, "ship_page", client,
-               MessageType::kPageShip, 1, page.wire_size()),
-      [&](RpcReply* rep) -> Status {
-        FINELOG_RETURN_IF_ERROR(MastershipAdmission());
-        FINELOG_RETURN_IF_ERROR(LivenessAdmission(client));
-        FINELOG_RETURN_IF_ERROR(EnsurePageRecovered(page.page));
-        FINELOG_RETURN_IF_ERROR(ApplyShippedPage(client, page));
-        rep->Set(MessageType::kPageShipAck, kSmallMsg);
-        return Status::OK();
       });
 }
 
@@ -1022,7 +971,7 @@ Result<TokenReply> Server::AcquireTokenBody(ClientId client, PageId pid,
         });
     if (!shipped.ok()) {
       rep->Set(MessageType::kTokenReply, kSmallMsg);
-      return shipped.status();
+      return CalleeLegStatus(shipped.status());
     }
     if (!shipped.value().image.empty()) {
       FINELOG_RETURN_IF_ERROR(ApplyShippedPage(holder, shipped.value()));
@@ -1473,7 +1422,7 @@ Result<uint64_t> Server::FailoverProbe(ClientId client) {
       [&](RpcReply* rep) -> Result<uint64_t> {
         // The body may escalate into TakeOver -> Restart, whose Rec sweep
         // re-enters this node's endpoints from client handlers (a fetched
-        // page ships back through ShipPage). Those re-entries must see the
+        // page ships back through ShipPages). Those re-entries must see the
         // executing thread as mu_'s owner -- in real-clock mode that is the
         // reactor, while the parked prober is the nominal holder.
         SimMutexAdopt adopt(mu_);

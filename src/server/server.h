@@ -100,14 +100,10 @@ class FINELOG_SHARED_STATE_CLASS Server : public FailoverNode {
 
   // ServerEndpoint ----------------------------------------------------------
 
-  Result<ObjectLockReply> LockObject(ClientId client, ObjectId oid,
-                                     LockMode mode, Psn cached_psn) override;
-  Result<PageLockReply> LockPage(ClientId client, PageId pid, LockMode mode,
-                                 Psn cached_psn) override;
-  Result<PageFetchReply> FetchPage(ClientId client, PageId pid) override;
-  Status ShipPage(ClientId client, const ShippedPage& page) override;
   Result<std::vector<ObjectLockOutcome>> LockObjectBatch(
       ClientId client, const std::vector<ObjectLockRequest>& items) override;
+  Result<PageLockReply> LockPage(ClientId client, PageId pid, LockMode mode,
+                                 Psn cached_psn) override;
   Result<std::vector<PageFetchReply>> FetchPages(
       ClientId client, const std::vector<PageId>& pids) override;
   Status ShipPages(ClientId client,
@@ -287,15 +283,11 @@ class FINELOG_SHARED_STATE_CLASS Server : public FailoverNode {
                             std::vector<XCallbackInfo>* x_callbacks,
                             size_t* reply_bytes) FINELOG_REQUIRES(mu_);
 
-  // Grant logic of LockObject/FetchPage without the request/reply channel
-  // accounting, so single and batched entry points share one implementation.
-  // `reply_bytes` reports the payload the reply message would carry.
+  // Grant logic for one item of LockObjectBatch. `reply_bytes` reports the
+  // payload the item adds to the batch's reply message.
   Result<ObjectLockReply> LockObjectInternal(ClientId client, ObjectId oid,
                                              LockMode mode, Psn cached_psn,
                                              size_t* reply_bytes)
-      FINELOG_REQUIRES(mu_);
-  Result<PageFetchReply> FetchPageInternal(ClientId client, PageId pid,
-                                           size_t* reply_bytes)
       FINELOG_REQUIRES(mu_);
 
   // Endpoint bodies run inside the RPC chokepoint; each records its reply
@@ -568,7 +560,7 @@ class FINELOG_SHARED_STATE_CLASS Server : public FailoverNode {
   std::deque<PageId> rec_priority_ FINELOG_GUARDED_BY(mu_);
   // Reentrancy depth of RepairPage/SinglePageRepair: nested endpoint calls
   // made by a repair (the client ships the recovered page back through
-  // ShipPage) must not start another sweep.
+  // ShipPages) must not start another sweep.
   int repair_depth_ FINELOG_GUARDED_BY(mu_) = 0;
   // Clock at the restart that armed lazy recovery; 0 once fully recovered.
   uint64_t restart_begin_us_ FINELOG_GUARDED_BY(mu_) = 0;

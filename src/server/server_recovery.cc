@@ -458,7 +458,7 @@ Status Server::AttemptPageRepair(PageId pid, bool demand) {
   auto it = page_rec_.find(pid);
   if (it == page_rec_.end() || it->second.state == PageRecState::kRecovering) {
     // Clean, or this very page's repair traffic re-entering (the client
-    // ships the recovered copy back through ShipPage / ordered fetch).
+    // ships the recovered copy back through ShipPages / ordered fetch).
     return Status::OK();
   }
   if (it->second.state == PageRecState::kFailed) {

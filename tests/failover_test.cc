@@ -17,6 +17,8 @@
 //     rejected and its replication stream is epoch-rejected;
 //   - double failover: the standby dies too, and service falls back to the
 //     re-provisioned first node;
+//   - a silent third client: a timed-out callback leg to a partitioned lock
+//     holder does not make the router suspect the primary;
 //   - defaults-off byte identity: with hot_standby=false the mastership
 //     knobs must not move a single message, byte, or clock tick.
 
@@ -156,8 +158,9 @@ TEST(FailoverTest, PartitionedOldPrimaryIsFenced) {
     Status st = deposed.Heartbeat(ClientId(c));
     EXPECT_TRUE(st.IsFailoverInProgress()) << st.ToString();
   }
-  auto lock = deposed.LockObject(ClientId(0), ObjectId{PageId(0), 0},
-                                 LockMode::kShared, Psn());
+  auto lock = deposed.LockObjectBatch(
+      ClientId(0), {ObjectLockRequest{ObjectId{PageId(0), 0}, LockMode::kShared,
+                                      Psn()}});
   EXPECT_TRUE(lock.status().IsFailoverInProgress())
       << lock.status().ToString();
   EXPECT_GT(m.Get(Counter::kFailoverDeposedFenced), fenced_before);
@@ -218,6 +221,46 @@ TEST(FailoverTest, StandbyLeaseExpiryFallsBackWithoutTraffic) {
   Status st = system->server_node(0).Heartbeat(ClientId(0));
   EXPECT_TRUE(st.IsFailoverInProgress()) << st.ToString();
 }
+
+// A silent *third* client is not a silent primary: when the callback (or
+// recall) leg to a partitioned lock holder times out, the primary still
+// answered the requester, so its router must not probe the standby. The
+// requester sees a retryable blocked dependency instead.
+class SilentCalleeTest : public ::testing::TestWithParam<LockGranularity> {};
+
+TEST_P(SilentCalleeTest, TimedOutCallbackLegDoesNotProbeStandby) {
+  SystemConfig config = FailoverConfig(
+      GetParam() == LockGranularity::kObject ? "failover_silent_obj"
+                                             : "failover_silent_page");
+  config.lock_granularity = GetParam();
+  auto system = System::Create(config).value();
+  const ObjectId oid{PageId(0), 0};
+
+  Client& holder = system->client(1);
+  TxnId held = holder.Begin().value();
+  ASSERT_TRUE(holder.Write(held, oid, std::string(config.object_size, 'h'))
+                  .ok());
+  ASSERT_TRUE(holder.Commit(held).ok());
+
+  system->rpc().faults().max_attempts = 3;
+  system->rpc().faults().partitioned_clients = {1};
+  Client& requester = system->client(0);
+  TxnId txn = requester.Begin().value();
+  Status st =
+      requester.Write(txn, oid, std::string(config.object_size, 'r'));
+  EXPECT_TRUE(st.IsWouldBlock()) << st.ToString();
+  EXPECT_FALSE(st.IsFailoverInProgress()) << st.ToString();
+  EXPECT_EQ(system->metrics().Get(Counter::kFailoverProbes), 0u);
+  EXPECT_EQ(system->active_server_node(), 0);
+  ASSERT_TRUE(requester.Abort(txn).ok());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Granularity, SilentCalleeTest,
+    ::testing::Values(LockGranularity::kObject, LockGranularity::kPage),
+    [](const ::testing::TestParamInfo<LockGranularity>& info) {
+      return info.param == LockGranularity::kObject ? "Object" : "Page";
+    });
 
 // ---------------------------------------------------------------------------
 // Defaults-off byte identity.

@@ -50,16 +50,18 @@ WorkloadOptions NetWorkload() {
   return options;
 }
 
-Result<std::string> ProbeRead(System* system, ObjectId oid) {
+Result<std::string> ProbeRead(System* system, ObjectId oid,
+                              uint32_t client = 0) {
+  Client& c = system->client(client);
   for (int attempt = 0; attempt < 50; ++attempt) {
-    auto txn = system->client(0).Begin();
+    auto txn = c.Begin();
     if (!txn.ok()) return txn.status();
-    auto got = system->client(0).Read(txn.value(), oid);
+    auto got = c.Read(txn.value(), oid);
     if (got.ok()) {
-      FINELOG_RETURN_IF_ERROR(system->client(0).Commit(txn.value()));
+      FINELOG_RETURN_IF_ERROR(c.Commit(txn.value()));
       return got;
     }
-    FINELOG_RETURN_IF_ERROR(system->client(0).Abort(txn.value()));
+    FINELOG_RETURN_IF_ERROR(c.Abort(txn.value()));
     if (!got.status().IsWouldBlock()) return got.status();
   }
   return Status::Internal("probe read never granted");
@@ -289,6 +291,45 @@ TEST(NetIdempotencyTest, ExhaustedRetriesDegradeToCleanWouldBlock) {
   auto got = ProbeRead(system.get(), ObjectId{PageId(3), 2});
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   EXPECT_EQ(got.value(), value);
+}
+
+// A copy-back ship that never reaches the server must leave the frame
+// dirty: otherwise the next callback finds it clean, ships nothing, and the
+// caller reads the server's stale copy in place of the committed value.
+// Covers the per-page eviction path (max_batch_items 1) and the chunked
+// flush (max_batch_items 4).
+TEST(NetIdempotencyTest, FailedShipKeepsPageOwedToServer) {
+  for (uint32_t batch : {1u, 4u}) {
+    SCOPED_TRACE("max_batch_items " + std::to_string(batch));
+    SystemConfig config = NetConfig(
+        "net_failed_ship_" + std::to_string(batch), NetFaultConfig{});
+    config.max_batch_items = batch;
+    auto system = System::Create(config).value();
+    const ObjectId oid{PageId(6), 3};
+    const std::string value(config.object_size, 'w');
+
+    Client& c0 = system->client(0);
+    TxnId txn = c0.Begin().value();
+    ASSERT_TRUE(c0.Write(txn, oid, value).ok());
+    ASSERT_TRUE(c0.Commit(txn).ok());
+
+    NetFaultConfig lossy;
+    lossy.drop_rate = 1.0;
+    lossy.max_attempts = 3;
+    lossy.seed = 31;
+    system->rpc().faults() = lossy;
+    Status st = c0.ShipAllDirtyPages();
+    EXPECT_TRUE(st.IsWouldBlock()) << st.ToString();
+    const BufferPool::Frame* frame = c0.cache().Peek(oid.page);
+    ASSERT_NE(frame, nullptr);
+    EXPECT_TRUE(frame->dirty);
+    EXPECT_EQ(frame->modified_slots.count(oid.slot), 1u);
+
+    system->rpc().faults() = NetFaultConfig{};
+    auto got = ProbeRead(system.get(), oid, /*client=*/1);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(got.value(), value);
+  }
 }
 
 // Ghost copies addressed to a client that crashed and restarted carry the

@@ -125,7 +125,9 @@ PAGE_PLANE_STATE = {"pool_"}
 ENDPOINT_IFACE = "ServerEndpoint"
 ENDPOINT_IMPL = "Server"
 RECOVERY_PLANE_PREFIX = "Rec"
-MIN_ENDPOINTS = 13  # PR 5's data-plane surface; guards interface-parse rot.
+# The exact non-Rec data-plane surface (one endpoint per protocol step);
+# fewer parsed endpoints means the interface parse rotted.
+MIN_ENDPOINTS = 11
 
 CHOKEPOINT_CLASS = "Channel"
 CHOKEPOINT_METHODS = {"Count", "CountBatch"}
